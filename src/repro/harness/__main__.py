@@ -642,37 +642,51 @@ def _parse_tenant_spec(value: str):
 
 
 def _serve_smoke() -> int:
-    """The ``serve --smoke`` self-test: daemon on a temp unix socket,
-    one client registers a tenant, runs a kernel round-trip over the
-    wire, reads stats, drains the daemon.  Exit 0 iff all of it worked
-    (the CI serve-wire-smoke step)."""
+    """The ``serve --smoke`` self-test: daemon on a temp unix socket
+    with the daemon's default forked execution, one client registers a
+    tenant, runs one workload under two schemes over the wire (the
+    second run decodes the trace the first one handed back —
+    docs/SERVING.md "Trace hand-off"), reads stats, drains the daemon.
+    Exit 0 iff all of it worked (the CI serve-wire-smoke step)."""
     import tempfile
 
     from repro.serve import GpuService, ServeClient, ServeDaemon
 
+    def spec(scheme):
+        return {"workload": "saxpy", "scheme": scheme, "time_scale": 2.0,
+                "seed": 0}
+
+    schemes = ("replay-queue", "operand-log")
     with tempfile.TemporaryDirectory() as tmp:
-        service = GpuService(isolated=False, gpu_slots=2)
+        service = GpuService(gpu_slots=2)
         daemon = ServeDaemon(service, path=f"{tmp}/serve.sock")
         with daemon:
             with ServeClient(daemon.address) as client:
                 client.ping()
                 client.register("smoke", weight=2, max_streams=2)
-                spec = {
-                    "workload": "saxpy",
-                    "scheme": "replay-queue",
-                    "time_scale": 2.0,
-                    "seed": 0,
-                }
-                result = client.request("smoke", spec, wait=60.0)
+                results = [client.request("smoke", spec(schemes[0]),
+                                          wait=60.0)]
+                held = service.held_traces
+                results.append(client.request("smoke", spec(schemes[1]),
+                                              wait=60.0))
                 stats = client.stats()
-        if not result["ok"]:
-            print(f"serve smoke: kernel failed: {result['failure']}",
+        for result in results:
+            if not result["ok"]:
+                print(f"serve smoke: kernel failed: {result['failure']}",
+                      file=sys.stderr)
+                return 1
+        if held != ["saxpy"]:
+            print("serve smoke: the first run handed back no trace",
                   file=sys.stderr)
             return 1
         wire = stats["wire"]
+        cycles = ", ".join(
+            f"{scheme}={result['value'].get('cycles', 0):.0f}"
+            for scheme, result in zip(schemes, results)
+        )
         print(
-            "serve smoke: ok — 1 kernel over the wire "
-            f"(cycles={result['value'].get('cycles', 0):.0f}, "
+            f"serve smoke: ok — {len(results)} forked kernels over the "
+            f"wire, the second from the held trace (cycles {cycles}, "
             f"frames_in={wire['frames_in']:.0f}, "
             f"frames_out={wire['frames_out']:.0f}), clean drain"
         )
@@ -725,8 +739,9 @@ def _serve_main(argv) -> int:
                              "execution only)")
     parser.add_argument(
         "--smoke", action="store_true",
-        help="self-test: temp unix-socket daemon + one client "
-             "round-trip, then exit (CI serve-wire-smoke)",
+        help="self-test: temp unix-socket daemon with forked "
+             "execution + one client running two kernels, then exit "
+             "(CI serve-wire-smoke)",
     )
     args = parser.parse_args(argv)
 

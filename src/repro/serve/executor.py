@@ -12,7 +12,9 @@ addressable for the :class:`repro.serve.cache.ResultCache`):
 
 ``workload``        required; any registered workload name
 ``scheme``          exception-handling scheme (default ``replay-queue``)
-``paging``          ``demand`` | ``prefetch-neighborhood`` (default demand)
+``paging``          one of :data:`repro.system.PAGING_MODES`:
+                    ``premapped`` | ``demand`` | ``demand-output`` |
+                    ``demand-heap`` (default ``demand``)
 ``interconnect``    default ``nvlink``
 ``time_scale``      default :data:`DEFAULT_TIME_SCALE`
 ``seed``            chaos seed (default 0); bumped by reseed-retries
@@ -25,23 +27,33 @@ addressable for the :class:`repro.serve.cache.ResultCache`):
                     tenant, indistinguishable to the service from a
                     real watchdog trip
 
+Every value is resolved before any trace work, so a malformed spec
+fails without running the functional interpreter.
+
 The result dict carries timing, the per-kernel fault tally that feeds
 the tenant's fault budget, and a state digest
 (:func:`repro.harness.chaos_campaign.architectural_digest` content-
 hashed) so cache hits are checkable against cold runs bit-for-bit.
+
+A workload's dynamic trace depends only on its name, so the isolated
+service's forked children run :func:`execute_handoff`, which hands the
+generated trace back as text and decodes a held one in place of a
+functional run (docs/SERVING.md "Trace hand-off").
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import io
+from typing import Dict, Optional, Tuple
 
 from repro.chaos import (
     ChaosConfig, ChaosEngine, HangDiagnostic, SimulationHang, Watchdog,
 )
 from repro.core import make_scheme
+from repro.functional.serialize import load_trace, save_trace
 from repro.harness.experiments import DEFAULT_TIME_SCALE
 from repro.harness.hashing import content_hash
-from repro.system import GPUConfig, GpuSimulator, INTERCONNECTS
+from repro.system import GPUConfig, GpuSimulator, INTERCONNECTS, PAGING_MODES
 from repro.workloads import get_workload
 
 #: spec keys the executor understands (anything else is rejected so a
@@ -65,8 +77,12 @@ def _synthetic_hang(spec: Dict) -> SimulationHang:
     )
 
 
-def execute_request(spec: Dict) -> Dict:
+def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
     """Run one submission; pure function of ``spec`` (module docstring).
+
+    ``trace_text`` is the workload's trace as :func:`execute_handoff`
+    returned it; when given, it is decoded in place of a functional
+    run, with the same result.
 
     Raises ``SimulationHang`` on a watchdog trip (real or injected via
     ``hang``), ``KeyError``/``ValueError`` on malformed specs; any
@@ -86,6 +102,13 @@ def execute_request(spec: Dict) -> Dict:
     seed = int(spec.get("seed", 0))
     intensity = float(spec.get("chaos_intensity", 0.0))
     wl = get_workload(spec["workload"])
+    scheme = make_scheme(spec.get("scheme", "replay-queue"))
+    paging = spec.get("paging", "demand")
+    if paging not in PAGING_MODES:
+        raise ValueError(
+            f"unknown paging mode {paging!r}; choose from "
+            f"{list(PAGING_MODES)}"
+        )
     cfg = GPUConfig().time_scaled(time_scale)
     ic = INTERCONNECTS[spec.get("interconnect", "nvlink")].scaled(time_scale)
     chaos = (
@@ -94,16 +117,21 @@ def execute_request(spec: Dict) -> Dict:
         else None
     )
     budget = spec.get("cycle_budget")
+    watchdog = Watchdog(budget) if budget is not None else Watchdog()
+    if trace_text is None:
+        kernel, trace = wl.kernel, wl.trace()
+    else:
+        kernel, trace = load_trace(io.StringIO(trace_text))
     sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
+        kernel=kernel,
+        trace=trace,
         address_space=wl.make_address_space(),
         config=cfg,
-        scheme=make_scheme(spec.get("scheme", "replay-queue")),
+        scheme=scheme,
         interconnect=ic,
-        paging=spec.get("paging", "demand"),
+        paging=paging,
         chaos=chaos,
-        watchdog=Watchdog(budget) if budget is not None else Watchdog(),
+        watchdog=watchdog,
         sanitize=chaos is not None,
     )
     result = sim.run()
@@ -125,3 +153,24 @@ def execute_request(spec: Dict) -> Dict:
             [sorted(digest[0]), digest[1], digest[2]]
         ),
     }
+
+
+def execute_handoff(
+    spec: Dict, trace_text: Optional[str] = None
+) -> Tuple[Dict, Optional[str]]:
+    """The isolated service's forked-child entry: ``(result, text)``.
+
+    Without ``trace_text`` the spec runs as :func:`execute_request`
+    and ``text`` is the trace it generated (already cached in this
+    process, so nothing is generated twice), encoded for the service
+    to hold.  With ``trace_text`` the run decodes it and ``text`` is
+    ``None``.  A failing spec raises before any encoding, so no text
+    comes back for it.
+    """
+    result = execute_request(spec, trace_text)
+    if trace_text is not None:
+        return result, None
+    wl = get_workload(spec["workload"])
+    buf = io.StringIO()
+    save_trace(wl.trace(), wl.kernel, buf)
+    return result, buf.getvalue()

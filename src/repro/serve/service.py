@@ -11,7 +11,13 @@ call per kernel request:
    .execute_request` runs via :func:`repro.harness.isolation
    .run_experiment_isolated` on a worker thread (forked child +
    wall-clock timeout), so a tenant's wedged kernel burns its own
-   budget, not the service process;
+   budget, not the service process.  The forked child runs it through
+   :func:`~repro.serve.executor.execute_handoff`, the *trace
+   hand-off*: the service holds one encoded trace per workload name,
+   taken from that workload's first successful execution, and passes
+   it to every later one, whose child decodes it instead of running
+   the functional interpreter.  The interpreter never runs in the
+   service process (docs/SERVING.md "Trace hand-off");
 3. **retry with backoff** — transient failures (the campaign runner's
    ``TRANSIENT_KINDS``: ``SimulationHang``, ``Timeout``,
    ``ChildCrash``) are retried up to ``max_attempts`` with exponential
@@ -43,7 +49,7 @@ from .cache import PartitionedResultCache
 from .core import (
     ServeRejection, ServiceCore, TenantPolicy, TenantQuarantined,
 )
-from .executor import execute_request
+from .executor import execute_handoff, execute_request
 
 #: failure kinds worth a reseeded retry (mirrors the campaign runner)
 TRANSIENT_KINDS = frozenset({"Timeout", "SimulationHang", "ChildCrash"})
@@ -78,9 +84,17 @@ def reseeded(spec: Dict, attempt: int) -> Dict:
 class GpuService:
     """Asyncio multi-tenant front end (module docstring).
 
+    ``isolated=True`` (the default) runs each execution in a forked
+    child with a wall-clock timeout; the ``serve`` daemon uses it
+    unless started with ``--no-isolated``, and so does ``serve
+    --smoke``.  With the default ``executor`` the trace hand-off
+    applies; an injected executor runs in the child as it is.
+
     ``isolated=False`` executes requests in-process on the worker
-    thread instead of a forked child — no timeout enforcement, but much
-    faster; the unit tests use it, the benchmark uses the real path.
+    thread instead — no timeout enforcement, but much faster, and
+    traces are reused through the workload registry.  ``serve-bench``
+    (its throughput phase and its wire phase), ``serve
+    --no-isolated`` and the unit tests use it.
     """
 
     def __init__(
@@ -110,6 +124,8 @@ class GpuService:
         self.backoff_cap = backoff_cap
         self.isolated = isolated
         self.executor = executor
+        #: workload name -> its trace as execute_handoff encoded it
+        self._traces: Dict[str, str] = {}
         self._now = 0.0
         self._sems: Dict[str, asyncio.Semaphore] = {}
         #: optional shared GPU pool: when set, executions additionally
@@ -132,6 +148,11 @@ class GpuService:
         return state
 
     @property
+    def held_traces(self) -> List[str]:
+        """Workloads whose encoded trace the hand-off holds (sorted)."""
+        return sorted(self._traces)
+
+    @property
     def now(self) -> float:
         """The service's virtual clock, in simulated cycles."""
         return self._now
@@ -140,6 +161,8 @@ class GpuService:
 
     def _run_once(self, name: str, spec: Dict):
         """One synchronous attempt (runs on a worker thread)."""
+        if self.isolated and self.executor is execute_request:
+            return self._run_handoff(name, spec)
         if self.isolated:
             return run_experiment_isolated(
                 name, self.executor, kwargs={"spec": spec},
@@ -155,6 +178,28 @@ class GpuService:
                 traceback_text=traceback.format_exc(),
                 kwargs={"spec": spec},
             )
+
+    def _run_handoff(self, name: str, spec: Dict):
+        """One isolated attempt with the trace hand-off (module
+        docstring): pass the held text, keep a returned one."""
+        workload = spec.get("workload")
+        # a non-string name fails in the child; it has no held text
+        held = (
+            self._traces.get(workload) if isinstance(workload, str) else None
+        )
+        outcome = run_experiment_isolated(
+            name, execute_handoff,
+            kwargs={"spec": spec, "trace_text": held},
+            timeout=self.timeout,
+        )
+        if isinstance(outcome, ExperimentFailure):
+            outcome.kwargs = {"spec": spec}  # not the held trace text
+            return outcome
+        value, text = outcome
+        if text is not None:
+            # two first requests that ran at once both generated it
+            self._traces.setdefault(workload, text)
+        return value
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))

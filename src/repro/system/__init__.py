@@ -11,6 +11,7 @@ from .config import (
 )
 from .faults import FaultController, FaultOutcome, FaultStats, InvalidAccessError
 from .gpu import (
+    PAGING_MODES,
     DeadlockError,
     GpuSimulator,
     MultiKernelResult,
@@ -25,6 +26,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "INTERCONNECTS",
     "NVLINK",
+    "PAGING_MODES",
     "PCIE",
     "US",
     "GPUConfig",

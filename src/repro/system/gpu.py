@@ -12,6 +12,10 @@ Paging modes
 ``demand``        segments start as declared by the address space (inputs
                   CPU-dirty, outputs untouched) — on-demand migration
                   (Figures 12-14).
+``demand-output`` only output (and heap) pages fault, on first touch
+                  (Figure 14).
+``demand-heap``   only device-heap pages fault, on first touch
+                  (Figure 13).
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from repro.vm import AddressSpace, FrameAllocator
 from .config import GPUConfig, InterconnectConfig, NVLINK
 from .faults import FaultController, FaultStats
 from .tb_scheduler import MultiKernelScheduler, ThreadBlockScheduler
+
+
+#: the ``paging`` values :class:`GpuSimulator` accepts (module docstring)
+PAGING_MODES = ("premapped", "demand", "demand-output", "demand-heap")
 
 
 class DeadlockError(Exception):

@@ -1,5 +1,6 @@
 """Trace serialization round-trips and the sweep utilities."""
 
+import functools
 import io
 
 import pytest
@@ -11,9 +12,29 @@ from repro.functional.serialize import (
     load_trace,
     save_trace,
 )
+from repro.harness.chaos_campaign import architectural_digest
 from repro.harness.sweeps import sweep_config, sweep_schemes
 from repro.system import GpuSimulator
 from repro.workloads import MICRO, get_workload
+
+
+#: the kernels the serve-open benchmark sends and the preemptible schemes
+#: it runs them under: the traffic the service's trace hand-off carries
+SERVE_KERNELS = (
+    "saxpy", "stream-sum", "tlb-thrash", "mshr-storm", "divergence-tree",
+)
+PREEMPTIBLE_SCHEMES = ("wd-commit", "wd-lastcheck", "replay-queue",
+                       "operand-log")
+
+
+@functools.lru_cache(maxsize=None)
+def _reloaded(name):
+    """``(kernel, trace)`` of ``name`` after a save/load round trip."""
+    wl = get_workload(name)
+    buf = io.StringIO()
+    save_trace(wl.trace(), wl.kernel, buf)
+    buf.seek(0)
+    return load_trace(buf)
 
 
 class TestKernelCodec:
@@ -56,6 +77,22 @@ class TestTraceRoundtrip:
             return sim.run().cycles
 
         assert cycles(kernel2, trace2) == cycles(wl.kernel, trace)
+
+    @pytest.mark.parametrize("scheme", PREEMPTIBLE_SCHEMES)
+    @pytest.mark.parametrize("name", SERVE_KERNELS)
+    def test_serve_traffic_identical_after_reload(self, name, scheme):
+        wl = get_workload(name)
+
+        def outcome(kernel, trace):
+            sim = GpuSimulator(
+                kernel, trace, wl.make_address_space(),
+                scheme=make_scheme(scheme), paging="demand",
+            )
+            result = sim.run()
+            return (result.cycles, result.fault_stats.faults_raised,
+                    architectural_digest(sim))
+
+        assert outcome(*_reloaded(name)) == outcome(wl.kernel, wl.trace())
 
     def test_counts_preserved(self):
         wl = MICRO.fresh("stream-sum")

@@ -26,6 +26,7 @@ from repro.serve import (
 )
 from repro.serve.core import CircuitBreaker, percentile
 from repro.serve.loadgen import Arrival
+from repro.system import PAGING_MODES
 
 
 def _hang(budget=1_000.0):
@@ -425,6 +426,30 @@ class TestRealExecutor:
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(ValueError, match="unknown spec key"):
             execute_request({"workload": "saxpy", "wl": "typo"})
+
+    @pytest.mark.parametrize("paging", PAGING_MODES)
+    def test_every_paging_mode_runs(self, paging):
+        result = execute_request({"workload": "saxpy", "paging": paging})
+        assert result["cycles"] > 0
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"scheme": "bogus"}, "unknown scheme"),
+        ({"paging": "prefetch-neighborhood"}, "unknown paging mode"),
+    ])
+    @pytest.mark.parametrize("trace_text", [None, "{}"])
+    def test_malformed_spec_fails_before_trace_work(
+        self, monkeypatch, bad, match, trace_text
+    ):
+        import repro.serve.executor as executor_mod
+        from repro.workloads.base import Workload
+
+        def no_trace_work(*args, **kwargs):
+            raise AssertionError("trace work for a malformed spec")
+
+        monkeypatch.setattr(Workload, "trace", no_trace_work)
+        monkeypatch.setattr(executor_mod, "load_trace", no_trace_work)
+        with pytest.raises(ValueError, match=match):
+            execute_request({"workload": "lbm", **bad}, trace_text)
 
     def test_cache_hit_matches_cold_run_through_service(self):
         service = GpuService(isolated=False)
