@@ -11,21 +11,17 @@ Mirrors ``benchmarks/test_bench_hotloop.py`` (docs/PERFORMANCE.md):
   change results);
 - the ±`GATE_TOLERANCE` normalized-score gate re-measures this machine
   and compares both backends against the committed record, and requires
-  the measured speedup to clear the floor.  It only runs when
-  ``REPRO_PERF_GATE=1`` (the CI perf-guard job sets it).  The vectorized
+  the measured speedup to clear the floor (the ``perf_gate`` fixture of
+  ``conftest.py``; only with ``REPRO_PERF_GATE=1``).  The vectorized
   side's normalized score is small (hundredths of a calibration spin),
   so its band gets an absolute floor on top of the relative tolerance to
   keep timer granularity from tripping the gate.
 """
 
-import json
-import os
-
 import pytest
 
+from repro.harness import bench
 from repro.harness import campaign_bench as cb
-
-GATE = os.environ.get("REPRO_PERF_GATE", "") == "1"
 
 #: absolute slack added to the vectorized band (timer granularity on a
 #: run that takes a few hundredths of a calibration spin)
@@ -34,7 +30,7 @@ ABS_FLOOR = 0.05
 
 @pytest.fixture(scope="module")
 def record():
-    return cb.load_record()
+    return bench.load_record(cb.RECORD)
 
 
 class TestCommittedRecord:
@@ -72,6 +68,13 @@ class TestCommittedRecord:
         )
         assert record["speedup"] == pytest.approx(speedup, rel=0.01)
 
+    def test_committed_case_reproduces_digest(self, record):
+        """Re-run the committed case on the vectorized backend: its rows
+        must carry the committed digest."""
+        case = {k: v for k, v in record["case"].items() if k != "configs"}
+        table = cb.run_case("vectorized", case)
+        assert table.notes[0] == record["vectorized"]["digest"]
+
 
 class TestBackendEquivalence:
     def test_small_sweep_is_bit_identical(self):
@@ -93,33 +96,19 @@ class TestBackendEquivalence:
         assert scalar.to_dict() == vector.to_dict()
 
 
-@pytest.mark.skipif(not GATE, reason="set REPRO_PERF_GATE=1 (CI perf-guard)")
 class TestPerfGate:
-    def test_normalized_within_gate(self, record):
+    def test_normalized_within_gate(self, record, perf_gate):
         """Re-measure this machine; both backends' calibration-normalized
         scores must be within the gate band of the committed record and
         the measured speedup must clear the floor."""
         measured = cb.measure(repeats=3)
-        out = os.environ.get("REPRO_PERF_GATE_OUT")
-        if out:
-            with open(out, "w") as fh:
-                json.dump({"committed": record, "measured": measured}, fh,
-                          indent=1, sort_keys=True)
-                fh.write("\n")
-        for entry in ("scalar", "vectorized"):
-            committed = record[entry]["normalized"]
-            band = committed * cb.GATE_TOLERANCE
-            if entry == "vectorized":
-                band = max(band, ABS_FLOOR)
-            lo, hi = committed - band, committed + band
-            got = measured[entry]["normalized"]
-            assert lo <= got <= hi, (
-                f"{entry} normalized score {got:.3f} outside "
-                f"[{lo:.3f}, {hi:.3f}] (committed {committed:.3f} "
-                f"±{cb.GATE_TOLERANCE:.0%}); a real regression must be "
-                f"fixed, a real improvement re-recorded with "
-                f"`python -m repro.harness campaign --update`"
-            )
+        perf_gate(record, measured, "campaign", [
+            ("scalar normalized score", measured["scalar"]["normalized"],
+             record["scalar"]["normalized"]),
+            ("vectorized normalized score",
+             measured["vectorized"]["normalized"],
+             record["vectorized"]["normalized"], ABS_FLOOR),
+        ])
         assert measured["speedup"] >= cb.MIN_SPEEDUP
         assert (measured["scalar"]["digest"]
                 == measured["vectorized"]["digest"])

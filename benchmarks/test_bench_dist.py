@@ -13,23 +13,20 @@ Mirrors ``benchmarks/test_bench_campaign.py`` (docs/PERFORMANCE.md):
   wall-clock of all three modes and the speedup against the committed
   record.  The timed matrix is sleep-calibrated (see
   :mod:`repro.harness.dist_bench`), so the seconds are dominated by the
-  fixed per-cell blocking time and stay comparable across machines.  It
-  only runs when ``REPRO_PERF_GATE=1`` (the CI perf-guard job sets it).
+  fixed per-cell blocking time and stay comparable across machines
+  (the ``perf_gate`` fixture of ``conftest.py``; only with
+  ``REPRO_PERF_GATE=1``).
 """
-
-import json
-import os
 
 import pytest
 
+from repro.harness import bench
 from repro.harness import dist_bench as db
-
-GATE = os.environ.get("REPRO_PERF_GATE", "") == "1"
 
 
 @pytest.fixture(scope="module")
 def record():
-    return db.load_record()
+    return bench.load_record(db.RECORD)
 
 
 class TestCommittedRecord:
@@ -74,30 +71,16 @@ class TestDeterminismSmoke:
         assert db.smoke(str(tmp_path), echo=lambda m: None) == 0
 
 
-@pytest.mark.skipif(not GATE, reason="set REPRO_PERF_GATE=1 (CI perf-guard)")
 class TestPerfGate:
-    def test_wall_clock_within_gate(self, record):
+    def test_wall_clock_within_gate(self, record, perf_gate):
         """Re-measure this machine; each mode's wall-clock must be
         within the gate band of the committed record and the measured
         speedup must clear the floor."""
         measured = db.measure(repeats=2, echo=lambda m: None)
-        out = os.environ.get("REPRO_PERF_GATE_OUT")
-        if out:
-            with open(out, "w") as fh:
-                json.dump({"committed": record, "measured": measured},
-                          fh, indent=1, sort_keys=True)
-                fh.write("\n")
-        for entry in ("serial", "dist1", "dist2"):
-            committed = record[entry]["seconds"]
-            band = committed * db.GATE_TOLERANCE
-            lo, hi = committed - band, committed + band
-            got = measured[entry]["seconds"]
-            assert lo <= got <= hi, (
-                f"{entry} wall-clock {got:.2f}s outside "
-                f"[{lo:.2f}, {hi:.2f}] (committed {committed:.2f}s "
-                f"±{db.GATE_TOLERANCE:.0%}); a real regression must be "
-                f"fixed, a real improvement re-recorded with "
-                f"`python -m repro.harness dist-bench --update`"
-            )
+        perf_gate(record, measured, "dist-bench", [
+            (f"{entry} wall-clock s", measured[entry]["seconds"],
+             record[entry]["seconds"])
+            for entry in ("serial", "dist1", "dist2")
+        ])
         assert measured["speedup"] >= db.MIN_SPEEDUP
         assert measured["identity"]["identical"] is True

@@ -8,20 +8,14 @@ Three layers (docs/PERFORMANCE.md):
 - an end-to-end smoke run checks the benchmark case still simulates to
   the pinned cycle count (the perf path may never change results);
 - the ±`GATE_TOLERANCE` normalized-score gate re-measures this machine
-  and compares against the committed ``after`` entry.  It only runs when
-  ``REPRO_PERF_GATE=1`` (the CI perf-guard job sets it): the measurement
-  costs tens of seconds and a loaded developer machine would make it
-  flaky in a default tier-1 run.
+  and compares against the committed ``after`` entry (the ``perf_gate``
+  fixture of ``conftest.py``; only with ``REPRO_PERF_GATE=1``).
 """
-
-import json
-import os
 
 import pytest
 
+from repro.harness import bench
 from repro.harness import hotloop_bench as hb
-
-GATE = os.environ.get("REPRO_PERF_GATE", "") == "1"
 
 #: bit-identity invariants of the benchmark case (lbm/baseline/demand),
 #: also pinned by tests/golden_digests.json
@@ -36,7 +30,7 @@ MIN_DOCUMENTED_SPEEDUP = 1.5
 
 @pytest.fixture(scope="module")
 def record():
-    return hb.load_record()
+    return bench.load_record(hb.RECORD)
 
 
 class TestCommittedRecord:
@@ -82,26 +76,13 @@ class TestEndToEnd:
         assert rec["dynamic_instructions"] == LBM_DYN_INSTS
 
 
-@pytest.mark.skipif(not GATE, reason="set REPRO_PERF_GATE=1 (CI perf-guard)")
 class TestPerfGate:
-    def test_normalized_within_gate(self, record, tmp_path):
+    def test_normalized_within_gate(self, record, perf_gate):
         """Re-measure this machine; the calibration-normalized score must be
         within ±GATE_TOLERANCE of the committed ``after`` entry."""
-        committed = record["after"]["normalized"]
         measured = hb.measure(repeats=3)
-        out = os.environ.get("REPRO_PERF_GATE_OUT")
-        if out:
-            with open(out, "w") as fh:
-                json.dump({"committed": record, "measured": measured}, fh,
-                          indent=1, sort_keys=True)
-                fh.write("\n")
-        lo = committed * (1 - hb.GATE_TOLERANCE)
-        hi = committed * (1 + hb.GATE_TOLERANCE)
-        assert lo <= measured["normalized"] <= hi, (
-            f"normalized score {measured['normalized']:.2f} outside "
-            f"[{lo:.2f}, {hi:.2f}] (committed after="
-            f"{committed:.2f} ±{hb.GATE_TOLERANCE:.0%}); a real regression "
-            f"must be fixed, a real improvement re-recorded with "
-            f"`python -m repro.harness hotloop --update`"
-        )
+        perf_gate(record, measured, "hotloop", [
+            ("normalized score", measured["normalized"],
+             record["after"]["normalized"]),
+        ])
         assert measured["cycles"] == LBM_CYCLES

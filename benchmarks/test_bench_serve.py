@@ -17,22 +17,19 @@ the wall-clock throughput section hides behind the
 - the reproduction tests re-run the committed seeds through the
   virtual-time driver and require digest equality with the record;
 - the perf gate re-measures normalized throughput on this machine and
-  compares against the committed record.
+  compares against the committed record (the ``perf_gate`` fixture of
+  ``conftest.py``; only with ``REPRO_PERF_GATE=1``).
 """
-
-import json
-import os
 
 import pytest
 
+from repro.harness import bench
 from repro.harness import serve_bench as sb
-
-GATE = os.environ.get("REPRO_PERF_GATE", "") == "1"
 
 
 @pytest.fixture(scope="module")
 def record():
-    return sb.load_record()
+    return bench.load_record(sb.RECORD)
 
 
 class TestCommittedRecord:
@@ -134,30 +131,16 @@ class TestFairnessReproduction:
         assert measured["cache_hit_rate"] == f["cache_hit_rate"]
 
 
-@pytest.mark.skipif(not GATE, reason="set REPRO_PERF_GATE=1 (CI perf-guard)")
 class TestPerfGate:
-    def test_throughput_within_gate(self, record):
+    def test_throughput_within_gate(self, record, perf_gate):
         """Re-measure this machine; the calibration-normalized
         throughput must be within the gate band of the committed
         record."""
         measured = sb.measure_throughput(repeats=3)
-        out = os.environ.get("REPRO_PERF_GATE_OUT")
-        if out:
-            with open(out, "w") as fh:
-                json.dump({"committed": record, "measured": measured},
-                          fh, indent=1, sort_keys=True)
-                fh.write("\n")
-        committed = record["throughput"]["normalized"]
-        band = committed * sb.GATE_TOLERANCE
-        lo, hi = committed - band, committed + band
-        got = measured["normalized"]
-        assert lo <= got <= hi, (
-            f"serve normalized throughput {got:.3f} outside "
-            f"[{lo:.3f}, {hi:.3f}] (committed {committed:.3f} "
-            f"±{sb.GATE_TOLERANCE:.0%}); a real regression must be "
-            f"fixed, a real improvement re-recorded with "
-            f"`python -m repro.harness serve-bench --update`"
-        )
+        perf_gate(record, measured, "serve-bench", [
+            ("serve normalized throughput", measured["normalized"],
+             record["throughput"]["normalized"]),
+        ])
         assert measured["executed_kernels"] == (
             record["throughput"]["executed_kernels"]
         )

@@ -1,20 +1,17 @@
-"""Per-scheme cost kernels: derived symbolically, compiled once, cached.
+"""Per-scheme cost kernels: built once per scheme, cached.
 
 The batch timing model charges every dynamic record an integer issue
 cost that depends only on its instruction class and the pipeline scheme
 (base cost + the scheme's write-back/commit window on memory classes),
 plus a per-fault term (scaled base latency + seeded jitter + the
 scheme's squash/replay overhead).  This module owns those numbers and
-the two compiled forms both backends share:
+the two forms both backends share:
 
-- :func:`cost_vector` — the per-class integer costs of one scheme,
-  derived by substituting the scheme's parameters into the symbolic
-  per-class cost expressions (sympy when available, an identical plain
-  evaluation otherwise);
+- :func:`cost_vector` — the per-class integer costs of one scheme, the
+  scheme's parameters substituted into the per-class cost expressions;
 - :func:`warp_cost_fn` — the per-warp base-cycles polynomial
-  ``sum_k n_k * c_k`` expanded symbolically and lambdified to a numpy
-  callable, built once per scheme behind ``lru_cache`` and evaluated
-  over whole count-matrix columns by the vectorized engine.
+  ``sum_k n_k * c_k``, built once per scheme behind ``lru_cache`` and
+  evaluated over whole count-matrix columns by the vectorized engine.
 
 Everything is exact integer arithmetic: the scalar reference adds the
 same constants record by record, so the two backends agree bit for bit
@@ -28,13 +25,6 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
-
-try:  # sympy is optional: the fallback evaluates the same expressions
-    import sympy as _sym
-
-    _HAVE_SYMPY = True
-except ImportError:  # pragma: no cover - toolchain always ships sympy
-    _HAVE_SYMPY = False
 
 from .profile import CLS_LOAD, CLS_STORE, NUM_CLASSES
 
@@ -106,26 +96,13 @@ def scheme_params(scheme: str) -> Tuple[str, Dict[str, int], int]:
 
 @lru_cache(maxsize=None)
 def cost_vector(scheme: str) -> Tuple[int, ...]:
-    """The per-class integer issue costs of ``scheme``.
-
-    Derived from the symbolic per-class expressions ``c_k = b_k + w_k``
-    (base cost plus the scheme's window on the load/store classes) by
-    substituting the scheme's parameters — through sympy when available
-    so the derivation is the documented single source of truth, with a
-    bit-identical plain evaluation otherwise.
-    """
+    """The per-class integer issue costs of ``scheme``: ``c_k = b_k +
+    w_k``, the base cost plus the scheme's window on the load/store
+    classes."""
     _family, params, _kb = scheme_params(scheme)
     windows = [0] * NUM_CLASSES
     windows[CLS_LOAD] = params["load_window"]
     windows[CLS_STORE] = params["store_window"]
-    if _HAVE_SYMPY:
-        base = _sym.symbols(f"b0:{NUM_CLASSES}")
-        win = _sym.symbols(f"w0:{NUM_CLASSES}")
-        subs = {b: v for b, v in zip(base, BASE_ISSUE_COST)}
-        subs.update({w: v for w, v in zip(win, windows)})
-        return tuple(
-            int(_sym.expand(b + w).subs(subs)) for b, w in zip(base, win)
-        )
     return tuple(
         b + w for b, w in zip(BASE_ISSUE_COST, windows)
     )
@@ -133,22 +110,15 @@ def cost_vector(scheme: str) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def warp_cost_fn(scheme: str) -> Callable:
-    """The compiled per-warp base-cycles kernel of ``scheme``.
+    """The per-warp base-cycles kernel of ``scheme``.
 
-    Builds the symbolic polynomial ``sum_k n_k * c_k`` over the class
-    counts, expands it, and lambdifies it to a numpy callable — compiled
-    once per scheme and cached, then evaluated over the whole
+    The polynomial ``sum_k n_k * c_k`` over the class counts, built once
+    per scheme and cached, then evaluated over the whole
     ``(num_warps, NUM_CLASSES)`` counts matrix of every batch that uses
     the scheme.  Integer coefficients over int64 columns keep the result
     exact.
     """
     costs = cost_vector(scheme)
-    if _HAVE_SYMPY:
-        counts = _sym.symbols(f"n0:{NUM_CLASSES}")
-        poly = _sym.expand(
-            sum(c * n for c, n in zip(costs, counts))
-        )
-        return _sym.lambdify(counts, poly, modules="numpy")
     return lambda *ns: sum(c * n for c, n in zip(costs, ns))
 
 

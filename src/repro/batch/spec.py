@@ -9,8 +9,9 @@ validation sampling of docs/VECTORIZATION.md.
 
 Eligibility for the vectorized backend is decided here
 (:func:`classify` on a spec, :func:`classify_cell` on a campaign cell's
-``fn``/``kwargs``), deliberately *without* importing numpy, so the
-campaign runner can route cells before any engine is loaded.
+``fn``/``kwargs``) from the spec or cell alone, so the campaign runner
+can route cells before any engine runs.  The paging modes are the
+simulator's own (:data:`repro.system.PAGING_MODES`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-#: paging modes the batch model understands (mirrors the timing engine)
-PAGING_MODES = ("premapped", "demand", "demand-output", "demand-heap")
+from repro.system import PAGING_MODES
 
 #: schemes with a vectorized cost kernel; anything else (operand-log's
 #: sequential log-occupancy walk) is scalar-only by construction

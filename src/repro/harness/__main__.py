@@ -79,6 +79,8 @@ SUBCOMMANDS = (
 
 def _trace_main(argv) -> int:
     """The ``trace`` subcommand: one telemetry-enabled run, two artifacts."""
+    from repro.system import PAGING_MODES
+
     from .tracing import run_traced
 
     parser = argparse.ArgumentParser(
@@ -96,7 +98,7 @@ def _trace_main(argv) -> int:
     )
     parser.add_argument(
         "--paging", default="demand",
-        choices=["premapped", "demand", "demand-output", "demand-heap"],
+        choices=list(PAGING_MODES),
         help="paging mode (demand modes actually take faults)",
     )
     parser.add_argument(
@@ -411,6 +413,8 @@ def _chaos_main(argv) -> int:
     """The ``chaos`` subcommand: one seeded fault-injection campaign, or —
     with ``--workloads``/``--seeds`` — a sharded soak campaign run by the
     parallel campaign runner."""
+    from repro.system import PAGING_MODES
+
     from .chaos_campaign import (
         DEFAULT_CAMPAIGN_SCHEMES,
         build_chaos_cells,
@@ -455,7 +459,7 @@ def _chaos_main(argv) -> int:
     )
     parser.add_argument(
         "--paging", default="demand",
-        choices=["premapped", "demand", "demand-output", "demand-heap"],
+        choices=list(PAGING_MODES),
         help="paging mode (demand modes actually take faults)",
     )
     parser.add_argument(

@@ -1,44 +1,31 @@
-"""Campaign-throughput benchmark with machine-speed calibration.
+"""Campaign-throughput benchmark (the ``campaign`` subcommand).
 
-The vectorized campaign backend (docs/VECTORIZATION.md) is perf-gated
-the same way the hot-loop overhaul is: its headline claim — a 64-config
-scheme x seed x latency sweep of lbm at least 3x faster on
-``--backend vectorized`` than on ``--backend scalar`` — is recorded in
-the committed ``BENCH_campaign.json`` and re-checked by
-``benchmarks/test_bench_campaign.py`` in CI.
+The vectorized campaign backend's headline claim (docs/VECTORIZATION.md)
+— a 64-config scheme x seed x latency sweep of lbm at least 3x faster
+on ``--backend vectorized`` than on ``--backend scalar`` — is recorded
+in the committed ``BENCH_campaign.json`` and re-checked by
+``benchmarks/test_bench_campaign.py``.  The measurement procedure is
+:mod:`repro.harness.bench`, described in docs/PERFORMANCE.md
+"Measuring".
 
-The methodology mirrors :mod:`repro.harness.hotloop_bench` exactly:
-every measurement is normalized against a fixed pure-Python calibration
-spin timed on the same interpreter immediately before the run
-(``raw_seconds / spin_seconds``), CPU time is used for both halves of
-the ratio, and best-of-N removes warmup outliers.  What differs is the
-timed region: the dynamic trace and the config-independent
-:class:`repro.batch.TraceProfile` are warmed *before* timing and shared
-by both backends — they are common infrastructure a sweep pays once —
-so the ratio isolates exactly what the backend changes: N scalar
-per-record walks versus one numpy program plus the sampled-subset
-validation walks the equivalence contract requires.
-
-Regenerate the committed record (from the repo root)::
-
-    PYTHONPATH=src python -m repro.harness campaign --update
-
-Both backends' rows must carry the same digest (the benchmark asserts
-it); a digest mismatch means the equivalence contract is broken and no
-throughput number is worth recording.
+The timed region is one sweep.  The dynamic trace, the
+config-independent :class:`repro.batch.TraceProfile` and the per-scheme
+cost kernels are built before timing and shared by both backends, so
+the ratio isolates what the backend changes: N scalar per-record walks
+versus one numpy program plus the sampled-subset validation walks the
+equivalence contract requires.  Both backends' rows must carry the same
+digest; a mismatch means the contract is broken and no throughput
+number is worth recording.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, Optional
 
-from .hotloop_bench import calibration_spin
+from . import bench
 
-#: relative tolerance of the CI gate on the normalized scores
-GATE_TOLERANCE = 0.25
+#: the committed record
+RECORD = bench.record_path("BENCH_campaign.json")
 
 #: the documented minimum vectorized-over-scalar speedup (the gate floor)
 MIN_SPEEDUP = 3.0
@@ -56,7 +43,14 @@ CASE = {
 }
 
 
-def _sweep(backend: str, case: Optional[Dict] = None):
+def _configs(case: Dict) -> int:
+    return (
+        len(case["schemes"]) * len(case["seeds"])
+        * len(case["latency_scales"])
+    )
+
+
+def run_case(backend: str, case: Optional[Dict] = None):
     """One sweep of the benchmark case on ``backend`` (validation on,
     as shipped: the vectorized number must include its contract cost)."""
     from repro.batch import run_sweep
@@ -74,9 +68,9 @@ def _sweep(backend: str, case: Optional[Dict] = None):
 
 def warm_case(case: Optional[Dict] = None) -> None:
     """Build the shared infrastructure both backends reuse: the cached
-    dynamic trace, the config-independent profile, and the compiled
-    per-scheme cost kernels (sympy lambdify is a one-off compile cost,
-    cached process-wide — not a per-sweep cost either backend pays)."""
+    dynamic trace, the config-independent profile, and the per-scheme
+    cost kernels (cached process-wide, so not a per-sweep cost either
+    backend pays)."""
     from repro.batch import build_profile, cost_vector, warp_cost_fn
 
     case = case or CASE
@@ -89,37 +83,16 @@ def warm_case(case: Optional[Dict] = None) -> None:
 def measure_backend(
     backend: str, repeats: int = 3, case: Optional[Dict] = None
 ) -> Dict:
-    """Best-of-``repeats`` normalized measurement of one backend.
-
-    Spins and sweeps alternate (spin, sweep, spin, sweep, ...) so a load
-    shift mid-measurement biases both halves of the ratio the same way;
-    the profile is warmed before the first spin (see module docstring).
-    """
+    """Best-of-``repeats`` normalized measurement of one backend, the
+    shared infrastructure warmed before the first spin."""
     case = case or CASE
     warm_case(case)
-    runs = []
-    spins = []
-    digest = None
-    for _ in range(max(1, repeats)):
-        spins.append(calibration_spin())
-        t0 = time.process_time()
-        table = _sweep(backend, case)
-        runs.append(time.process_time() - t0)
-        digest = table.notes[0]
-    best_run = min(runs)
-    best_spin = min(spins)
-    configs = (
-        len(case["schemes"]) * len(case["seeds"])
-        * len(case["latency_scales"])
-    )
+    stats, table = bench.best_of(lambda: run_case(backend, case), repeats)
     return {
         "backend": backend,
-        "raw_seconds": round(best_run, 4),
-        "spin_seconds": round(best_spin, 4),
-        "normalized": round(best_run / best_spin, 4),
-        "configs_per_spin": round(configs / (best_run / best_spin), 1),
-        "repeats": max(1, repeats),
-        "digest": digest,
+        **stats,
+        "configs_per_spin": round(_configs(case) / stats["normalized"], 1),
+        "digest": table.notes[0],
     }
 
 
@@ -137,12 +110,8 @@ def measure(repeats: int = 3, case: Optional[Dict] = None) -> Dict:
             "backend digests diverged: "
             f"{scalar['digest']!r} != {vectorized['digest']!r}"
         )
-    configs = (
-        len(case["schemes"]) * len(case["seeds"])
-        * len(case["latency_scales"])
-    )
     return {
-        "case": {**{k: v for k, v in case.items()}, "configs": configs},
+        "case": {**case, "configs": _configs(case)},
         "scalar": scalar,
         "vectorized": vectorized,
         "speedup": round(
@@ -151,52 +120,16 @@ def measure(repeats: int = 3, case: Optional[Dict] = None) -> Dict:
     }
 
 
-def bench_path() -> str:
-    """Committed location of the benchmark record (repo root)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(root, "BENCH_campaign.json")
-
-
-def load_record(path: Optional[str] = None) -> Dict:
-    """Read the committed benchmark record."""
-    with open(path or bench_path()) as fh:
-        return json.load(fh)
-
-
-def save_record(record: Dict, path: Optional[str] = None) -> str:
-    """Write the benchmark record (sorted keys, trailing newline)."""
-    path = path or bench_path()
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None) -> int:
     """The ``campaign`` subcommand: measure, print, optionally update."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness campaign",
-        description=(
-            "Calibration-normalized campaign-throughput benchmark: the "
-            "64-config benchmark sweep on the scalar and the vectorized "
-            "backend (docs/VECTORIZATION.md); gates the committed "
-            "BENCH_campaign.json."
-        ),
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measurement as BENCH_campaign.json",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE",
-        help="also write the measurement (plus the committed record, "
-             "when present) to FILE — used by the nightly CI artifact",
-    )
-    args = parser.parse_args(argv)
+    args = bench.cli(
+        "campaign",
+        "Calibration-normalized campaign-throughput benchmark: the "
+        "64-config benchmark sweep on the scalar and the vectorized "
+        "backend (docs/VECTORIZATION.md); gates the committed "
+        "BENCH_campaign.json.",
+        RECORD,
+    ).parse_args(argv)
 
     rec = measure(args.repeats)
     for backend in ("scalar", "vectorized"):
@@ -210,21 +143,7 @@ def main(argv=None) -> int:
         )
     print(f"speedup vectorized vs scalar: {rec['speedup']:.2f}x "
           f"(gate floor {MIN_SPEEDUP}x)")
-    if args.update:
-        record = {"schema": 1, **rec}
-        path = save_record(record)
-        print(f"updated {path}")
-    if args.json:
-        try:
-            committed = load_record()
-        except FileNotFoundError:
-            committed = None
-        with open(args.json, "w") as fh:
-            json.dump({"committed": committed, "measured": rec}, fh,
-                      indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
+    return bench.finish(args, RECORD, rec, {"schema": 1, **rec})
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,8 @@
-"""Distributed-campaign scaling benchmark (``dist-bench`` subcommand).
+"""Distributed-campaign scaling benchmark (the ``dist-bench`` subcommand).
 
-The headline claims of the distributed layer (docs/ROBUSTNESS.md) are
+The distributed layer's two headline claims (docs/ROBUSTNESS.md) are
 recorded in the committed ``BENCH_dist.json`` and re-checked by
-``benchmarks/test_bench_dist.py`` in CI:
+``benchmarks/test_bench_dist.py``:
 
 1. **Determinism** — on the full 35-cell chaos matrix (5
    microbenchmark workloads x 7 seeds, 2 schemes per cell), a loopback
@@ -12,27 +12,12 @@ recorded in the committed ``BENCH_dist.json`` and re-checked by
    fleet of 2 workers completes the campaign at least 1.6x faster than
    a fleet of 1.
 
-Methodology.  The scaling half is timed on a *sleep-calibrated*
-synthetic matrix: every cell blocks for a fixed wall-clock duration
-(:func:`run_dist_bench_cell`), standing in for a cell's compute time on
-its own machine.  This isolates exactly the layer under test — lease
-round-trips, heartbeats, checkpoint uploads, the merge — from host CPU
-parallelism, which a loopback fleet cannot demonstrate honestly: CI
-runners (including the box that produced the committed record) may have
-a single core, where two CPU-bound workers merely timeshare.  A real
-fleet gives each worker its own machine; blocking cells model that on
-loopback.  Wall-clock (never CPU time) is measured from coordinator
-start to matrix completion, worker spawn cost included, best of
-``--repeats``.  The speedup compares fleets of 1 and 2 workers — same
-protocol overhead on both sides of the ratio — with the serial runner's
-time recorded alongside as the distribution-overhead baseline.  The
-determinism half runs the *real* chaos matrix (no sleeps) through the
-serial runner and a 2-worker fleet and asserts the artifacts match
-bytewise; the synthetic runs are identity-checked on every repeat too.
-
-Regenerate the committed record (from the repo root)::
-
-    PYTHONPATH=src python -m repro.harness dist-bench --update
+The scaling half times a matrix of *sleep-calibrated* cells
+(:func:`run_dist_bench_cell`), each standing in for a cell's compute on
+its worker's own machine, in wall-clock from coordinator start to
+matrix completion, best of ``--repeats`` per mode.  docs/PERFORMANCE.md
+"Measuring" gives the procedure and "Distributed scaling" why the cells
+sleep.  The synthetic runs are identity-checked on every repeat too.
 
 ``--smoke`` runs a small chaos matrix (serial vs 2-worker fleet),
 asserts byte-identity and clean worker exits, and skips the timing
@@ -42,18 +27,18 @@ dedicated perf-guard job.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 import time
 from typing import Dict, List, Optional
 
+from . import bench
 from .dist import CampaignCoordinator, spawn_worker
 from .results import ExperimentTable
 
-#: relative tolerance of the CI gate on the committed speedup
-GATE_TOLERANCE = 0.25
+#: the committed record
+RECORD = bench.record_path("BENCH_dist.json")
 
 #: documented minimum 2-worker-over-1-worker speedup (the gate floor)
 MIN_SPEEDUP = 1.6
@@ -298,42 +283,16 @@ def smoke(out_dir: Optional[str] = None, echo=print) -> int:
     return 0
 
 
-def bench_path() -> str:
-    """Committed location of the benchmark record (repo root)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(root, "BENCH_dist.json")
-
-
-def load_record(path: Optional[str] = None) -> Dict:
-    """Read the committed benchmark record."""
-    with open(path or bench_path()) as fh:
-        return json.load(fh)
-
-
-def save_record(record: Dict, path: Optional[str] = None) -> str:
-    """Write the benchmark record (sorted keys, trailing newline)."""
-    path = path or bench_path()
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None) -> int:
     """The ``dist-bench`` subcommand: measure, print, optionally update."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness dist-bench",
-        description=(
-            "Distributed-campaign benchmark: byte-identity of the "
-            "35-cell chaos matrix across serial and 2-worker runs, and "
-            "wall-clock scaling of a sleep-calibrated matrix on fleets "
-            "of 1 and 2 workers; gates the committed BENCH_dist.json."
-        ),
+    parser = bench.cli(
+        "dist-bench",
+        "Distributed-campaign benchmark: byte-identity of the "
+        "35-cell chaos matrix across serial and 2-worker runs, and "
+        "wall-clock scaling of a sleep-calibrated matrix on fleets "
+        "of 1 and 2 workers; gates the committed BENCH_dist.json.",
+        RECORD, repeats=1,
     )
-    parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument(
         "--smoke", action="store_true",
         help="run the small CI matrix (serial vs 2 workers, identity "
@@ -343,15 +302,6 @@ def main(argv=None) -> int:
         "--out", metavar="DIR",
         help="base directory for the run artifacts (default: a temp "
              "directory); the CI smoke job uploads it",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measurement as BENCH_dist.json",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE",
-        help="also write the measurement (plus the committed record, "
-             "when present) to FILE — used by the nightly CI artifact",
     )
     args = parser.parse_args(argv)
 
@@ -372,21 +322,7 @@ def main(argv=None) -> int:
     if rec.get("identity"):
         print(f"identity: {rec['identity']['cells']} chaos cells "
               "byte-identical across serial and 2-worker runs")
-    if args.update:
-        record = {"schema": 1, **rec}
-        path = save_record(record)
-        print(f"updated {path}")
-    if args.json:
-        try:
-            committed = load_record()
-        except FileNotFoundError:
-            committed = None
-        with open(args.json, "w") as fh:
-            json.dump({"committed": committed, "measured": rec}, fh,
-                      indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
+    return bench.finish(args, RECORD, rec, {"schema": 1, **rec})
 
 
 if __name__ == "__main__":  # pragma: no cover

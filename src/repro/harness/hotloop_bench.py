@@ -1,65 +1,28 @@
-"""End-to-end hot-loop benchmark with machine-speed calibration.
+"""End-to-end hot-loop benchmark (the ``hotloop`` subcommand).
 
-The hot-loop overhaul (docs/PERFORMANCE.md) is perf-gated: its headline
-claim — lbm/demand end-to-end (trace generation + timing simulation) at
-least 2x faster than the pre-overhaul tree — is recorded in the committed
-``BENCH_timing.json`` and re-checked by ``benchmarks/test_bench_hotloop.py``
-in CI.
+The hot-loop overhaul's headline claim — lbm/demand end-to-end (trace
+generation + timing simulation) faster than the pre-overhaul tree — is
+recorded in the committed ``BENCH_timing.json`` and re-checked by
+``benchmarks/test_bench_hotloop.py``.  The measurement procedure is
+:mod:`repro.harness.bench`, described in docs/PERFORMANCE.md
+"Measuring"; the timed region is :func:`run_case_e2e`.
 
-Raw wall/CPU seconds are useless as a committed threshold: CI runners and
-developer machines differ by multiples, and even one machine varies run to
-run.  Every measurement here is therefore *normalized*: the benchmark times
-a fixed pure-Python calibration spin on the same interpreter immediately
-before the workload, and reports ``raw_seconds / spin_seconds`` — "how many
-calibration spins would have fit in this run".  That ratio tracks the
-simulator's algorithmic cost, not the host's clock speed, so one committed
-number can gate every machine with a modest tolerance band.
-
-CPU time (``time.process_time``) is used instead of wall time for both
-halves of the ratio, which removes scheduler noise from co-tenant load;
-best-of-N (default 3) removes cache-warmup and GC outliers.
-
-Regenerate the committed ``after`` entry (from the repo root)::
-
-    PYTHONPATH=src python -m repro.harness hotloop --update
-
-The ``before`` entry is a measurement of the pre-overhaul tree with this
-exact procedure; regenerating it requires checking out that tree (see
-BENCH_timing.json's ``before.commit``) — never overwrite it from an
-optimized tree.
+``--update`` rewrites only the ``after`` entry.  The ``before`` entry is
+a measurement of the pre-overhaul tree (``before.commit``) with the
+same procedure — never overwrite it from an optimized tree.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 from typing import Dict, Optional
 
-#: calibration spin iterations — sized so one spin takes O(100ms), long
-#: enough to be timed stably, short enough to repeat
-SPIN_N = 2_000_000
+from . import bench
 
-#: relative tolerance of the CI gate on the normalized score
-GATE_TOLERANCE = 0.25
+#: the committed record
+RECORD = bench.record_path("BENCH_timing.json")
 
 #: the benchmark case the headline number is measured on
 CASE = {"workload": "lbm", "scheme": "baseline", "paging": "demand"}
-
-
-def calibration_spin() -> float:
-    """CPU seconds for the fixed pure-Python spin (the ratio denominator).
-
-    Deliberately plain interpreter work (integer arithmetic, attribute-free
-    loop) so it scales with CPython dispatch speed the same way the
-    simulator's hot loops do."""
-    t0 = time.process_time()
-    acc = 0
-    for i in range(SPIN_N):
-        acc += i ^ (acc & 0xFFFF)
-    if acc == -1:  # pragma: no cover - keeps the loop from being elided
-        raise AssertionError
-    return time.process_time() - t0
 
 
 def run_case_e2e(case: Optional[Dict] = None) -> Dict:
@@ -71,14 +34,12 @@ def run_case_e2e(case: Optional[Dict] = None) -> Dict:
     would otherwise leak work across repeats."""
     from repro.core import make_scheme
     from repro.system import GpuSimulator
-    from repro.workloads import WorkloadRegistry  # noqa: F401 (API check)
     from repro.workloads.parboil import PARBOIL
     from repro.workloads.micro import MICRO
 
     case = case or CASE
     name = case["workload"]
     registry = PARBOIL if name in PARBOIL.names() else MICRO
-    t0 = time.process_time()
     wl = registry.fresh(name)
     trace = wl.trace()
     sim = GpuSimulator(
@@ -89,82 +50,28 @@ def run_case_e2e(case: Optional[Dict] = None) -> Dict:
         paging=case.get("paging", "demand"),
     )
     result = sim.run()
-    raw = time.process_time() - t0
     return {
-        "raw_seconds": raw,
         "cycles": result.cycles,
         "dynamic_instructions": result.dynamic_instructions,
     }
 
 
 def measure(repeats: int = 3, case: Optional[Dict] = None) -> Dict:
-    """Best-of-``repeats`` normalized measurement of the benchmark case.
-
-    Spins and runs alternate (spin, run, spin, run, ...) so a load shift
-    mid-measurement biases both halves of the ratio the same way."""
-    runs = []
-    spins = []
-    cycles = dyn = None
-    for _ in range(max(1, repeats)):
-        spins.append(calibration_spin())
-        rec = run_case_e2e(case)
-        runs.append(rec["raw_seconds"])
-        cycles, dyn = rec["cycles"], rec["dynamic_instructions"]
-    best_run = min(runs)
-    best_spin = min(spins)
-    return {
-        "case": dict(case or CASE),
-        "raw_seconds": round(best_run, 4),
-        "spin_seconds": round(best_spin, 4),
-        "normalized": round(best_run / best_spin, 4),
-        "repeats": max(1, repeats),
-        "cycles": cycles,
-        "dynamic_instructions": dyn,
-    }
-
-
-def bench_path() -> str:
-    """Committed location of the benchmark record (repo root)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(root, "BENCH_timing.json")
-
-
-def load_record(path: Optional[str] = None) -> Dict:
-    with open(path or bench_path()) as fh:
-        return json.load(fh)
-
-
-def save_record(record: Dict, path: Optional[str] = None) -> str:
-    path = path or bench_path()
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+    """Best-of-``repeats`` normalized measurement of the benchmark case."""
+    case = case or CASE
+    stats, run = bench.best_of(lambda: run_case_e2e(case), repeats)
+    return {"case": dict(case), **stats, **run}
 
 
 def main(argv=None) -> int:
     """The ``hotloop`` subcommand: measure, print, optionally update."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness hotloop",
-        description=(
-            "Calibration-normalized end-to-end hot-loop benchmark "
-            "(docs/PERFORMANCE.md); gates the committed BENCH_timing.json."
-        ),
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measurement as BENCH_timing.json's 'after' entry",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE",
-        help="also write the measurement (plus the committed record, when "
-        "present) to FILE — used by the nightly CI artifact",
-    )
-    args = parser.parse_args(argv)
+    args = bench.cli(
+        "hotloop",
+        "Calibration-normalized end-to-end hot-loop benchmark "
+        "(docs/PERFORMANCE.md); gates the committed BENCH_timing.json, "
+        "whose 'after' entry --update rewrites.",
+        RECORD,
+    ).parse_args(argv)
 
     rec = measure(args.repeats)
     print(
@@ -173,7 +80,7 @@ def main(argv=None) -> int:
         f"normalized={rec['normalized']} cycles={rec['cycles']}"
     )
     try:
-        record = load_record()
+        record = bench.load_record(RECORD)
     except FileNotFoundError:
         record = {"schema": 1}
     before = record.get("before")
@@ -181,17 +88,7 @@ def main(argv=None) -> int:
         speedup = before["normalized"] / rec["normalized"]
         print(f"speedup vs before: {speedup:.2f}x "
               f"(before normalized={before['normalized']})")
-    if args.update:
-        record["after"] = rec
-        path = save_record(record)
-        print(f"updated {path}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"committed": record, "measured": rec}, fh,
-                      indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
+    return bench.finish(args, RECORD, rec, {**record, "after": rec})
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -42,6 +42,13 @@ from typing import Callable, Dict, Optional, Tuple
 #: stays killable within this latency even mid-timeout
 POLL_SLICE_S = 0.05
 
+#: failure kinds worth retrying — this module's ``Timeout`` and
+#: ``ChildCrash`` and the watchdog's ``SimulationHang``: they depend on
+#: scheduling/load, not on the inputs (a crash or invariant violation
+#: is deterministic under the same inputs and retrying it only burns
+#: time).  The campaign runner and the serve shell both retry on it.
+TRANSIENT_KINDS = frozenset({"Timeout", "SimulationHang", "ChildCrash"})
+
 
 @dataclass
 class ExperimentFailure:

@@ -88,17 +88,13 @@ from .experiments import (
 )
 from .hashing import content_hash
 from .isolation import (
+    TRANSIENT_KINDS,
     ExperimentFailure,
     process_isolation_available,
     run_experiment_isolated,
 )
 from .results import ExperimentTable, merge_tables
 from .store import CHECKPOINT_VERSION, TimeoutHistory
-
-#: failure kinds worth retrying: they depend on scheduling/load, not on
-#: the cell's inputs (a crash or invariant violation is deterministic
-#: under the same inputs and retrying it only burns time)
-TRANSIENT_KINDS = frozenset({"Timeout", "SimulationHang", "ChildCrash"})
 
 #: the failure kind of an attempt abandoned because the supervisor's
 #: cancel event fired (distributed workers cancel in-flight cells when

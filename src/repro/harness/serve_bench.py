@@ -1,15 +1,17 @@
-"""Serving benchmark: throughput, containment, weighted-fair isolation.
+"""Serving benchmark (the ``serve-bench`` subcommand): throughput,
+containment, weighted-fair isolation.
 
 ``python -m repro.harness serve-bench`` measures the multi-tenant
 serving layer (:mod:`repro.serve`, docs/SERVING.md) and maintains the
-committed ``BENCH_serve.json``.  Three committed sections:
+committed ``BENCH_serve.json``, re-checked by
+``benchmarks/test_bench_serve.py``.  Three committed sections:
 
-**throughput** — wall-clock-free kernels-per-spin through the real
-asyncio :class:`~repro.serve.service.GpuService`: three tenants drain a
-seeded open-loop schedule concurrently (in-process execution, so CPU
-time is attributable), normalized against the same pure-Python
-calibration spin the hot-loop and campaign benchmarks use and gated in
-CI at :data:`GATE_TOLERANCE`.  The raw kernels/sec is recorded for
+**throughput** — kernels per calibration spin through the real asyncio
+:class:`~repro.serve.service.GpuService`: three tenants drain a seeded
+open-loop schedule concurrently (in-process execution, so CPU time is
+attributable).  The timed region is one cold service's drain; the
+measurement procedure is :mod:`repro.harness.bench`, described in
+docs/PERFORMANCE.md "Measuring".  The raw kernels/sec is recorded for
 humans but never gated — it depends on the machine.
 
 **containment** — the deterministic virtual-time experiment
@@ -31,32 +33,18 @@ p99 stays within ``p99_bound`` x its no-storm baseline, steady cache
 partitions take **zero** storm-induced evictions, and the storm tenant
 still completes work.  Bit-reproducible, digest-gated like
 containment; the FIFO ratios are recorded for contrast, never gated.
-
-``--wire`` adds an *uncommitted* wall-clock section: the same
-fairness-shaped closed-loop load driven through the real NDJSON socket
-daemon (:mod:`repro.serve.wire`) by per-client threads — two phases
-(steady alone, then steady + storm) so the storm-induced p99 inflation
-over the wire is visible.  Wall-clock numbers are machine-dependent,
-so this section is printed and exported via ``--json`` but never
-recorded or gated.
-
-Regenerate the committed record (from the repo root)::
-
-    PYTHONPATH=src python -m repro.harness serve-bench --update
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from .hotloop_bench import calibration_spin
+from . import bench
 
-#: relative tolerance of the CI gate on the normalized throughput
-GATE_TOLERANCE = 0.25
+#: the committed record
+RECORD = bench.record_path("BENCH_serve.json")
 
 #: the throughput case: three tenants draining seeded open-loop
 #: schedules through the asyncio service concurrently
@@ -79,19 +67,6 @@ CONTAINMENT_CASE = {
 FAIRNESS_CASE = {
     "seed": 0,
     "p99_bound": 1.5,
-}
-
-#: the --wire case: fairness-shaped closed-loop load over the socket
-#: daemon (wall clock, never committed)
-WIRE_CASE = {
-    "steady_tenants": 2,
-    "clients_per_tenant": 2,
-    "requests_per_client": 6,
-    "think_mean_seconds": 0.002,
-    "storm_clients": 2,
-    "storm_requests_per_client": 10,
-    "gpu_slots": 2,
-    "seed": 0,
 }
 
 
@@ -117,8 +92,8 @@ def _throughput_submissions(case: Dict):
 
 
 async def _drain_service(case: Dict):
-    """One cold service draining the whole schedule; returns (service,
-    results)."""
+    """One cold service draining the whole schedule; returns the
+    results."""
     from repro.serve import GpuService, TenantPolicy
 
     service = GpuService(isolated=False, max_attempts=2)
@@ -133,8 +108,7 @@ async def _drain_service(case: Dict):
     )
     for i in range(case["tenants"]):
         service.register_tenant(f"bench-{i}", policy)
-    results = await service.drain(_throughput_submissions(case))
-    return service, results
+    return await service.drain(_throughput_submissions(case))
 
 
 def measure_throughput(
@@ -143,51 +117,31 @@ def measure_throughput(
     """Best-of-``repeats`` normalized throughput measurement.
 
     Every repeat uses a fresh (cold-cache) service so cache warmup
-    cannot flatter later runs; spins and drains alternate so a load
-    shift biases both halves of the ratio the same way.
+    cannot flatter later runs.
     """
     from repro.serve.core import ServeRejection
 
     case = dict(THROUGHPUT_CASE, **(case or {}))
-    runs = []
-    spins = []
     walls = []
-    executed = hits = failed = 0
-    for _ in range(max(1, repeats)):
-        spins.append(calibration_spin())
+
+    def drain():
         w0 = time.time()
-        t0 = time.process_time()
-        service, results = asyncio.run(_drain_service(case))
-        runs.append(time.process_time() - t0)
+        results = asyncio.run(_drain_service(case))
         walls.append(time.time() - w0)
-        executed = sum(
-            1 for r in results
-            if not isinstance(r, ServeRejection) and not r.cached and r.ok
-        )
-        hits = sum(
-            1 for r in results
-            if not isinstance(r, ServeRejection) and r.cached
-        )
-        failed = sum(
-            1 for r in results
-            if not isinstance(r, ServeRejection) and not r.ok
-        )
-    best_run = min(runs)
-    best_spin = min(spins)
-    best_wall = min(walls)
-    requests = case["tenants"] * case["requests_per_tenant"]
+        return results
+
+    stats, results = bench.best_of(drain, repeats)
+    served = [r for r in results if not isinstance(r, ServeRejection)]
+    executed = sum(1 for r in served if not r.cached and r.ok)
     return {
         "case": dict(case),
-        "requests": requests,
+        "requests": case["tenants"] * case["requests_per_tenant"],
         "executed_kernels": executed,
-        "cache_hits": hits,
-        "failed": failed,
-        "raw_seconds": round(best_run, 4),
-        "spin_seconds": round(best_spin, 4),
-        "normalized": round(best_run / best_spin, 4),
-        "kernels_per_spin": round(executed / (best_run / best_spin), 1),
-        "kernels_per_sec_wall": round(executed / best_wall, 1),
-        "repeats": max(1, repeats),
+        "cache_hits": sum(1 for r in served if r.cached),
+        "failed": sum(1 for r in served if not r.ok),
+        **stats,
+        "kernels_per_spin": round(executed / stats["normalized"], 1),
+        "kernels_per_sec_wall": round(executed / min(walls), 1),
     }
 
 
@@ -250,159 +204,6 @@ def measure_fairness(case: Optional[Dict] = None) -> Dict:
     }
 
 
-def _wire_percentile(sorted_vals: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (0 if empty)."""
-    if not sorted_vals:
-        return 0.0
-    idx = min(len(sorted_vals) - 1, int(q * len(sorted_vals)))
-    return sorted_vals[idx]
-
-
-def _wire_client_loop(
-    address, tenant: str, client_id: int, menu: List[Dict],
-    requests: int, think_mean_s: float, seed: int, out: List,
-):
-    """One closed-loop wire client on its own thread: think, submit,
-    block for the result, repeat.  Appends (tenant, latencies_s,
-    completed, rejected) to ``out``."""
-    import random
-
-    from repro.serve import ServeClient
-    from repro.serve.core import ServeRejection
-
-    rng = random.Random(f"{seed}/{tenant}/{client_id}")
-    latencies: List[float] = []
-    completed = rejected = 0
-    with ServeClient(address) as client:
-        for i in range(requests):
-            if think_mean_s > 0:
-                time.sleep(min(0.05, rng.expovariate(1.0 / think_mean_s)))
-            spec = dict(menu[i % len(menu)])
-            t0 = time.perf_counter()
-            try:
-                client.request(tenant, spec, wait=60.0)
-                latencies.append(time.perf_counter() - t0)
-                completed += 1
-            except ServeRejection:
-                rejected += 1
-    out.append((tenant, latencies, completed, rejected))
-
-
-def _wire_phase(case: Dict, storm: bool) -> Dict:
-    """One wall-clock phase over the wire: fresh daemon on a temp unix
-    socket, per-client threads, per-tenant latency stats."""
-    import tempfile
-    import threading
-
-    from repro.serve import GpuService, ServeClient, ServeDaemon
-    from repro.serve.loadgen import steady_menu, storm_flood_menu
-
-    with tempfile.TemporaryDirectory() as tmp:
-        service = GpuService(
-            isolated=False, gpu_slots=case["gpu_slots"]
-        )
-        with ServeDaemon(service, path=f"{tmp}/serve.sock") as daemon:
-            with ServeClient(daemon.address) as admin:
-                for i in range(case["steady_tenants"]):
-                    admin.register(
-                        f"steady-{i}", weight=2, max_streams=2,
-                        max_queue_depth=32, fault_budget=10**9,
-                    )
-                if storm:
-                    admin.register(
-                        "storm", weight=1, max_streams=4,
-                        max_queue_depth=64, fault_budget=10**9,
-                    )
-            out: List = []
-            threads = []
-            for i in range(case["steady_tenants"]):
-                menu = steady_menu(base_seed=100 * (i + 1))
-                for c in range(case["clients_per_tenant"]):
-                    threads.append(threading.Thread(
-                        target=_wire_client_loop,
-                        args=(daemon.address, f"steady-{i}", c, menu,
-                              case["requests_per_client"],
-                              case["think_mean_seconds"],
-                              case["seed"], out),
-                    ))
-            if storm:
-                for c in range(case["storm_clients"]):
-                    threads.append(threading.Thread(
-                        target=_wire_client_loop,
-                        args=(daemon.address, "storm", c,
-                              storm_flood_menu(c),
-                              case["storm_requests_per_client"],
-                              0.0, case["seed"], out),
-                    ))
-            t0 = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            wall = time.perf_counter() - t0
-            with ServeClient(daemon.address) as admin:
-                stats = admin.stats()
-    tenants: Dict[str, Dict] = {}
-    for tenant, latencies, completed, rejected in out:
-        agg = tenants.setdefault(
-            tenant, {"latencies": [], "completed": 0, "rejected": 0}
-        )
-        agg["latencies"].extend(latencies)
-        agg["completed"] += completed
-        agg["rejected"] += rejected
-    report = {}
-    for tenant, agg in sorted(tenants.items()):
-        lat = sorted(agg["latencies"])
-        report[tenant] = {
-            "completed": agg["completed"],
-            "rejected": agg["rejected"],
-            "p50_ms": round(_wire_percentile(lat, 0.50) * 1e3, 2),
-            "p99_ms": round(_wire_percentile(lat, 0.99) * 1e3, 2),
-        }
-    return {
-        "tenants": report,
-        "wall_seconds": round(wall, 3),
-        "wire_frames": {
-            "in": stats["wire"]["frames_in"],
-            "out": stats["wire"]["frames_out"],
-        },
-    }
-
-
-def measure_wire(case: Optional[Dict] = None) -> Dict:
-    """The ``--wire`` section: the fairness shape driven through the
-    real socket daemon, wall clock.  Never committed or gated — the
-    point is exercising the wire path end to end and showing the
-    storm's p99 effect on a live daemon."""
-    case = dict(WIRE_CASE, **(case or {}))
-    baseline = _wire_phase(case, storm=False)
-    contended = _wire_phase(case, storm=True)
-    steady = {}
-    completed_all = True
-    expect = case["clients_per_tenant"] * case["requests_per_client"]
-    for name, stats in contended["tenants"].items():
-        if name == "storm":
-            continue
-        base_p99 = baseline["tenants"][name]["p99_ms"]
-        ratio = stats["p99_ms"] / base_p99 if base_p99 else 0.0
-        completed_all = completed_all and stats["completed"] == expect
-        steady[name] = {
-            "baseline_p99_ms": base_p99,
-            "storm_p99_ms": stats["p99_ms"],
-            "ratio": round(ratio, 3),
-            "completed": stats["completed"],
-        }
-    return {
-        "case": dict(case),
-        "steady": steady,
-        "steady_completed_all": completed_all,
-        "storm_completed": contended["tenants"]
-        .get("storm", {}).get("completed", 0),
-        "baseline": baseline,
-        "contended": contended,
-    }
-
-
 def measure(repeats: int = 3, quick: bool = False) -> Dict:
     """Measure the committed sections and fold the record."""
     tcase = {"requests_per_tenant": 8} if quick else None
@@ -421,60 +222,19 @@ def measure(repeats: int = 3, quick: bool = False) -> Dict:
     }
 
 
-def bench_path() -> str:
-    """Committed location of the benchmark record (repo root)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    return os.path.join(root, "BENCH_serve.json")
-
-
-def load_record(path: Optional[str] = None) -> Dict:
-    """Read the committed benchmark record."""
-    with open(path or bench_path()) as fh:
-        return json.load(fh)
-
-
-def save_record(record: Dict, path: Optional[str] = None) -> str:
-    """Write the benchmark record (sorted keys, trailing newline)."""
-    path = path or bench_path()
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main(argv=None) -> int:
     """The ``serve-bench`` subcommand: measure, print, maybe update."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness serve-bench",
-        description=(
-            "Multi-tenant serving benchmark: normalized throughput "
-            "through the asyncio service plus the deterministic "
-            "fault-containment experiment; gates the committed "
-            "BENCH_serve.json."
-        ),
+    parser = bench.cli(
+        "serve-bench",
+        "Multi-tenant serving benchmark: normalized throughput "
+        "through the asyncio service plus the deterministic "
+        "fault-containment and fairness experiments; gates the "
+        "committed BENCH_serve.json.",
+        RECORD,
     )
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--quick", action="store_true",
         help="smaller schedules (CI smoke); never use with --update",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measurement as BENCH_serve.json",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE",
-        help="also write the measurement (plus the committed record, "
-             "when present) to FILE — used by the CI artifact",
-    )
-    parser.add_argument(
-        "--wire", action="store_true",
-        help="also drive the fairness-shaped closed-loop load through "
-             "the real socket daemon (wall clock; printed and exported "
-             "via --json, never committed or gated)",
     )
     args = parser.parse_args(argv)
     if args.update and args.quick:
@@ -519,41 +279,7 @@ def main(argv=None) -> int:
             f"{s['fifo_ratio']:.2f}, bound {f['p99_bound']}) "
             f"induced_evictions={s['storm_induced_evictions']}"
         )
-    wire = None
-    if args.wire:
-        wire = measure_wire(
-            {"requests_per_client": 4, "storm_requests_per_client": 6}
-            if args.quick else None
-        )
-        print(
-            f"serve wire [wall clock, uncommitted]: "
-            f"steady_completed_all={wire['steady_completed_all']} "
-            f"storm_completed={wire['storm_completed']} "
-            f"contended_wall={wire['contended']['wall_seconds']}s"
-        )
-        for name, s in sorted(wire["steady"].items()):
-            print(
-                f"  {name}: p99 {s['storm_p99_ms']}ms vs baseline "
-                f"{s['baseline_p99_ms']}ms (ratio {s['ratio']})"
-            )
-    if args.update:
-        record = {"schema": 2, **rec}
-        path = save_record(record)
-        print(f"updated {path}")
-    if args.json:
-        try:
-            committed = load_record()
-        except FileNotFoundError:
-            committed = None
-        measured = dict(rec)
-        if wire is not None:
-            measured["wire"] = wire
-        with open(args.json, "w") as fh:
-            json.dump({"committed": committed, "measured": measured},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
+    return bench.finish(args, RECORD, rec, {"schema": 2, **rec})
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,11 +18,11 @@ call per kernel request:
    it to every later one, whose child decodes it instead of running
    the functional interpreter.  The interpreter never runs in the
    service process (docs/SERVING.md "Trace hand-off");
-3. **retry with backoff** — transient failures (the campaign runner's
-   ``TRANSIENT_KINDS``: ``SimulationHang``, ``Timeout``,
-   ``ChildCrash``) are retried up to ``max_attempts`` with exponential
-   backoff and the runner's ``seed + 1000*attempt`` reseed rule;
-   deterministic failures are returned immediately;
+3. **retry with backoff** — transient failures
+   (:data:`repro.harness.isolation.TRANSIENT_KINDS`: ``SimulationHang``,
+   ``Timeout``, ``ChildCrash``) are retried up to ``max_attempts`` with
+   exponential backoff and the runner's ``seed + 1000*attempt`` reseed
+   rule; deterministic failures are returned immediately;
 4. **accounting** — completions feed the tenant's latency reservoir and
    fault budget, failures its hang budget; either may trip the breaker
    and quarantine the tenant without touching anyone else's in-flight
@@ -43,16 +43,15 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.chaos.watchdog import DEFAULT_CYCLE_BUDGET
-from repro.harness.isolation import ExperimentFailure, run_experiment_isolated
+from repro.harness.isolation import (
+    TRANSIENT_KINDS, ExperimentFailure, run_experiment_isolated,
+)
 
 from .cache import PartitionedResultCache
 from .core import (
     ServeRejection, ServiceCore, TenantPolicy, TenantQuarantined,
 )
 from .executor import execute_handoff, execute_request
-
-#: failure kinds worth a reseeded retry (mirrors the campaign runner)
-TRANSIENT_KINDS = frozenset({"Timeout", "SimulationHang", "ChildCrash"})
 
 #: hangs/timeouts count against the tenant's hang budget
 HANG_KINDS = frozenset({"SimulationHang", "Timeout"})
@@ -93,8 +92,8 @@ class GpuService:
     ``isolated=False`` executes requests in-process on the worker
     thread instead — no timeout enforcement, but much faster, and
     traces are reused through the workload registry.  ``serve-bench``
-    (its throughput phase and its wire phase), ``serve
-    --no-isolated`` and the unit tests use it.
+    (its throughput phase), ``serve --no-isolated`` and the unit tests
+    use it.
     """
 
     def __init__(

@@ -5,7 +5,9 @@ clients under the virtual-time driver, the fairness experiment, and the
 ``SERVE_COUNTERS`` manifest staying honest against the live registry
 (docs/SERVING.md)."""
 
+import asyncio
 import re
+import threading
 
 import pytest
 
@@ -290,6 +292,58 @@ class TestWeightedPolicies:
     def test_gpu_slots_validates(self):
         with pytest.raises(ValueError):
             GpuService(gpu_slots=0)
+
+    def test_asyncio_shell_grants_gpu_by_priority_then_weight(self):
+        """Under contention for one GPU slot the asyncio shell grants in
+        the core's order: the priority-1 request first, then weight-2
+        requests twice as often as weight-1 ones."""
+        release = threading.Event()
+        seen = []
+
+        def executor(spec):
+            seen.append(spec["tag"])
+            if spec["tag"] == "hold":
+                assert release.wait(timeout=60.0), "never released"
+            return scaled_stub(spec)
+
+        service = GpuService(isolated=False, gpu_slots=1, executor=executor)
+        service.register_tenant("hold")
+        for name, weight in (("w1", 1), ("w2", 2)):
+            service.register_tenant(
+                name, TenantPolicy(weight=weight, max_streams=3)
+            )
+        # registered last, so only its priority can put it first
+        service.register_tenant("vip", TenantPolicy(priority=1))
+
+        def spec(tag):
+            return {"workload": "stub", "tag": tag}
+
+        async def run():
+            hold = asyncio.ensure_future(service.submit("hold", spec("hold")))
+            queued = [
+                asyncio.ensure_future(service.submit(tenant, spec(tag)))
+                for tenant, tag in [("w1", f"w1-{i}") for i in range(3)]
+                + [("w2", f"w2-{i}") for i in range(3)]
+                + [("vip", "vip")]
+            ]
+            for _ in range(10_000):
+                depths = service.core.execution_snapshot().values()
+                if sum(d["depth"] for d in depths) == len(queued):
+                    break
+                await asyncio.sleep(0)
+            else:
+                raise AssertionError("requests never queued for the GPU")
+            release.set()
+            return await asyncio.gather(hold, *queued)
+
+        try:
+            results = asyncio.run(asyncio.wait_for(run(), timeout=60.0))
+        finally:
+            release.set()
+        assert all(r.ok and not r.cached for r in results)
+        assert seen[:2] == ["hold", "vip"]
+        assert [tag[:2] for tag in seen[2:5]].count("w2") == 2
+        assert len(seen) == 8
 
 
 class TestServeCountersManifest:
