@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.timing.decode import mask_names
+
 
 class InvariantViolation(Exception):
     """A structural invariant of the simulation was broken.
@@ -72,11 +74,11 @@ class InvariantSanitizer:
         self.checks_run += 1
         leaks: List[str] = []
         for warp in block.warps:
-            if warp.pw or warp.pr or warp.pwp or warp.prp:
+            if warp.pw or warp.pr or warp.prm:
                 leaks.append(
                     f"warp {warp.slot}: scoreboard entries "
-                    f"pw={dict(warp.pw)} pr={dict(warp.pr)} "
-                    f"pwp={dict(warp.pwp)} prp={dict(warp.prp)}"
+                    f"pw={mask_names(warp.pw)} "
+                    f"pr={mask_names(warp.prm)} reads={sum(warp.pr.values())}"
                 )
             if warp.inflight:
                 leaks.append(

@@ -1,6 +1,6 @@
 """Golden end-state digests: the timing simulator's bit-identity contract.
 
-Performance work on the timing hot loop (ready-list scheduling, decode and
+Performance work on the timing hot loop (the issue scan, decode and
 coalesce memoization, batched event dispatch — see docs/PERFORMANCE.md) is
 only admissible when it is *provably bit-identical* to the model it
 replaces.  This module pins that contract as data: a digest of everything a
@@ -77,16 +77,12 @@ def state_digest(sim: GpuSimulator, result) -> Dict:
     return payload
 
 
-def run_case(case: Dict, telemetry: bool = False) -> Dict:
-    """Execute one golden case spec and return its digest record."""
+def make_simulator(case: Dict, **kwargs) -> GpuSimulator:
+    """Build the simulator for one golden case spec; ``kwargs`` (e.g.
+    ``telemetry``, ``reference_issue``) go to :class:`GpuSimulator`."""
     wl = get_workload(case["workload"])
     cfg = GPUConfig().time_scaled(case.get("time_scale", GOLDEN_TIME_SCALE))
-    tel = None
-    if telemetry:
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry()
-    sim = GpuSimulator(
+    return GpuSimulator(
         kernel=wl.kernel,
         trace=wl.trace(),
         address_space=wl.make_address_space(),
@@ -95,8 +91,18 @@ def run_case(case: Dict, telemetry: bool = False) -> Dict:
         paging=case.get("paging", "demand"),
         local_handling=case.get("local_handling", False),
         block_switching=case.get("block_switching", False),
-        telemetry=tel,
+        **kwargs,
     )
+
+
+def run_case(case: Dict, telemetry: bool = False) -> Dict:
+    """Execute one golden case spec and return its digest record."""
+    tel = None
+    if telemetry:
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+    sim = make_simulator(case, telemetry=tel)
     result = sim.run()
     return state_digest(sim, result)
 
@@ -126,6 +132,13 @@ def _slow_matrix() -> List[Dict]:
         cases.append(
             {"workload": wl, "scheme": "replay-queue", "paging": "demand"}
         )
+    # The Fig. 12 cells of the campaign benchmark: block switching under
+    # the replay-queue pipeline.
+    for wl in ("histo", "lbm"):
+        cases.append(
+            {"workload": wl, "scheme": "replay-queue", "paging": "demand",
+             "block_switching": True}
+        )
     return cases
 
 
@@ -145,6 +158,17 @@ def _preemption_matrix() -> List[Dict]:
         {"workload": "tlb-thrash", "scheme": "operand-log",
          "paging": "demand", "block_switching": True}
     )
+    # Heap faults (Fig. 13): halloc workloads under demand-heap paging,
+    # handled by the CPU and locally.
+    cases.append(
+        {"workload": "alloc-cycle", "scheme": "replay-queue",
+         "paging": "demand-heap"}
+    )
+    for wl in ("alloc-cycle", "quad-tree"):
+        cases.append(
+            {"workload": wl, "scheme": "replay-queue",
+             "paging": "demand-heap", "local_handling": True}
+        )
     return cases
 
 

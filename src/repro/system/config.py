@@ -146,6 +146,15 @@ class GPUConfig:
     #: traffic) are scaled consistently with the fault-cost constants
     time_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        # An SM with no issue slot or no unit of a class never issues that
+        # class's instructions; the issue scan also relies on every unit
+        # budget starting at one or more (docs/PERFORMANCE.md).
+        for name in ("issue_width", "num_math_units", "num_sfu_units",
+                     "num_ldst_units", "num_branch_units"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+
     @property
     def dram_bandwidth_bytes_per_cycle(self) -> float:
         return self.dram_bandwidth_gbps / self.frequency_ghz

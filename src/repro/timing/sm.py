@@ -18,13 +18,18 @@ The preemptible-exception schemes of Section 3 plug in through a
 
 Hot-loop structure (docs/PERFORMANCE.md)
 ----------------------------------------
-:meth:`SmPipeline.try_issue` is the simulator's hottest function; it runs on
-a *ready scan list* (warps that are not done, not parked at a barrier, and
-not out of trace), consults pre-decoded instruction tuples, caches each
-warp's last scoreboard verdict (``WarpRT.sb_wait``), and arms a per-SM
-``next_ready_cycle`` scalar instead of scheduling pure wake-up heap events —
-all provably bit-identical to the reference scan, which is kept as
-:meth:`SmPipeline._try_issue_reference` (select it with
+:meth:`SmPipeline.try_issue` is the simulator's hottest function.
+Scoreboards are integer bitmasks over predicate and register bits, checked
+against masks pre-decoded per static instruction (:mod:`repro.timing.decode`).
+Each warp caches its last blocked verdict (``WarpRT.sb_wait``) with the bits
+that blocked it, and only a commit or source release that frees one of those
+bits clears it.  The issue scan walks a per-SM bitset of master positions in
+round-robin order — the warps that are not done, not parked at a barrier and
+not out of trace, minus those with a cached blocked verdict and, while the
+LD/ST pipe is clogged by parked faults, those whose head is a global-memory
+access.  Wake-ups arm a per-SM ``next_ready_cycle`` scalar instead of
+scheduling pure heap events.  All of it is bit-identical to the reference
+scan, kept as :meth:`SmPipeline._try_issue_reference` (select it with
 ``reference_issue=True`` or ``REPRO_REFERENCE_ISSUE=1``) and pinned against
 the fast path by the golden digests (``tests/golden_digests.json``) and the
 hypothesis equivalence suite.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -43,7 +48,7 @@ from repro.functional.trace import BlockTrace, TraceInst
 from repro.mem.coalescer import coalesce_inst
 from repro.telemetry import active as _tel_active, ev as _ev
 
-from .decode import decode as _decode
+from .decode import decode as _decode, mask_names
 from .engine import EventQueue
 
 #: cycles from fetch decision to issue — folded into issue; operand read and
@@ -81,8 +86,7 @@ class WarpRT:
         "fetch_holds",
         "pw",
         "pr",
-        "pwp",
-        "prp",
+        "prm",
         "inflight",
         "at_barrier",
         "done",
@@ -92,6 +96,7 @@ class WarpRT:
         "tlen",
         "pos",
         "sb_wait",
+        "sb_bits",
     )
 
     def __init__(self, slot: int, trace: List[TraceInst], block: "BlockRT") -> None:
@@ -100,10 +105,14 @@ class WarpRT:
         self.idx = 0
         self.fetch_ready = 0.0
         self.fetch_holds = 0
-        self.pw: Dict[int, int] = {}  # reg -> pending writes (RAW/WAW)
-        self.pr: Dict[int, int] = {}  # reg -> pending reads (WAR)
-        self.pwp: Dict[int, int] = {}  # predicate pending writes
-        self.prp: Dict[int, int] = {}  # predicate pending reads
+        # Scoreboards over the bits of repro.timing.decode.  A register has
+        # at most one pending write (the WAW check blocks a second writer
+        # and a squash releases the write before its replay re-marks it),
+        # so one mask holds them; reads are counted per bit because sources
+        # repeat and in-flight readers share registers.
+        self.pw = 0  # pending writes (RAW/WAW)
+        self.pr: Dict[int, int] = {}  # source bit -> pending reads
+        self.prm = 0  # bits with pending reads (WAR)
         self.inflight = 0
         self.at_barrier = False
         self.done = False
@@ -118,8 +127,11 @@ class WarpRT:
         self.pos = 0
         #: cached scoreboard verdict: True = the warp's next instruction was
         #: scoreboard-blocked and nothing that could unblock it has happened
-        #: since (cleared on commit / source release / squash / issue)
+        #: since (cleared on issue, squash, context change, and by a commit
+        #: or source release that frees one of ``sb_bits``)
         self.sb_wait = False
+        #: the pending bits that blocked the head when ``sb_wait`` was set
+        self.sb_bits = 0
 
     def next_inst(self) -> Optional[TraceInst]:
         if self.replay_list:
@@ -177,7 +189,7 @@ class BlockRT:
         self.drain_time = 0.0  # latest commit of non-faulted in-flight work
         self.pending_groups: Dict[int, float] = {}  # fault group -> resolve t
         # squashable in-flight faulted instructions: (warp, tinst, commit_ev,
-        # dests, pdests, fetch_hold_release_ev)
+        # destination mask, fetch_hold_release_evs, src_release_ev, slot_ev)
         self.faulted_inflight: List[Tuple] = []
         self.log_capacity = log_capacity
         self.log_used = 0
@@ -254,29 +266,26 @@ class SmPipeline:
         self.stats = SmStats()
         self.local_scheduler = None  # set by use case 1, see core.local_scheduler
         self.on_block_done = None  # callback(sm, block, time) set by the GPU
+        # Every budget is at least 1 (GPUConfig rejects less), so an
+        # exhausted budget implies an issue this cycle: the fast scan never
+        # needs the reference's ``structural`` flag (docs/PERFORMANCE.md).
         self._unit_budget_template = (
             config.num_math_units,
             config.num_sfu_units,
             config.num_ldst_units,
             config.num_branch_units,
         )
-        # The fast scan may skip a ``sb_wait`` warp before the unit-budget
-        # check only if no unit has a zero budget: otherwise the reference
-        # scan could attribute that warp to ``structural`` (budget exhausted
-        # at zero issues) where the skip would say ``sb_block``.  With every
-        # budget >= 1, exhaustion implies at least one issue this cycle, and
-        # neither flag is observable (sleeping is False, stall counters only
-        # tick on zero-issue cycles) — see docs/PERFORMANCE.md.
-        self._sb_early = min(self._unit_budget_template) > 0
         log_bytes = getattr(scheme, "log_bytes", 0)
         self._log_partition = (
             max(512, log_bytes // max(occupancy, 1)) if log_bytes else 0
         )
-        # Ready scan list (fast issue path): master-order subset of
-        # ``self.warps`` that can possibly issue — lazily rebuilt when a
-        # membership transition marks it dirty.
-        self._scan: List[WarpRT] = []
-        self._scan_pos: List[int] = []
+        # Issue bitsets (fast issue path), bit ``pos`` = ``self.warps[pos]``:
+        # scan members, members with a cached blocked verdict, and members
+        # whose head is a global-memory access — lazily rebuilt when a
+        # membership transition marks them dirty (:meth:`_rebuild_scan`).
+        self._members = 0
+        self._blocked = 0
+        self._memhead = 0
         self._scan_dirty = True
         # Per-run constants hoisted out of the issue loop.
         self._issue_width = config.issue_width
@@ -414,43 +423,56 @@ class SmPipeline:
     # ------------------------------------------------------------------
 
     def _rebuild_scan(self) -> None:
-        """Recompute the ready scan list from the master warp list.
+        """Recompute the issue bitsets from the master warp list.
 
-        Membership: not done, not parked at a barrier, and still has an
+        Members: not done, not parked at a barrier, and still an
         instruction to issue (replay pending or trace remaining).  Warps
-        whose fetch is held/not-ready stay listed — hold churn is
+        whose fetch is held/not-ready stay members — hold churn is
         per-issue, so evicting them would cost more rebuilds than the one
-        flag test they cost in the loop.  Master positions are refreshed
+        flag test they cost in the walk.  Master positions are refreshed
         here so the round-robin pointer maps exactly onto the reference
         scan order."""
-        scan = []
-        pos_list = []
+        members = blocked = memhead = 0
         for pos, w in enumerate(self.warps):
             w.pos = pos
             if w.done or w.at_barrier:
                 continue
-            if not w.replay_list and w.idx >= w.tlen:
+            if w.replay_list:
+                dec = _decode(w.replay_list[0].inst)
+            elif w.idx < w.tlen:
+                dec = w.dtrace[w.idx]
+            else:
                 continue  # trace exhausted, draining in-flight work
-            scan.append(w)
-            pos_list.append(pos)
-        self._scan = scan
-        self._scan_pos = pos_list
+            bit = 1 << pos
+            members |= bit
+            if w.sb_wait:
+                blocked |= bit
+            if dec[2]:
+                memhead |= bit
+        self._members = members
+        self._blocked = blocked
+        self._memhead = memhead
         self._scan_dirty = False
 
     def ready_warp_count(self) -> int:
-        """Current ready-list size (telemetry gauge
+        """Current scan-member count (telemetry gauge
         ``gpu.sm[*].ready_warps``)."""
         if self._scan_dirty:
             self._rebuild_scan()
-        return len(self._scan)
+        return self._members.bit_count()
 
     def try_issue(self, cycle: float) -> int:
         """Attempt up to ``issue_width`` issues this cycle; returns count.
 
-        Fast path of the hot-loop overhaul: scans only the ready list, in
-        the exact order and with the exact stall attribution of
-        :meth:`_try_issue_reference` (the original full round-robin scan,
-        kept as the executable spec)."""
+        Fast path of the hot-loop overhaul: walks the member bitset in
+        the round-robin order of :meth:`_try_issue_reference` (the
+        original full scan, kept as the executable spec), skipping warps
+        already known not to issue — a cached blocked verdict, or a
+        global-memory head while parked faults clog the LD/ST pipe.  A
+        skipped warp would only have raised stall flags, so the issues and
+        statistics are the reference's; with telemetry on, a zero-issue
+        cycle recomputes the flags over every warp
+        (:meth:`_attribute_stall`)."""
         if self.next_ready_cycle <= cycle:
             wakes = self._wakes
             rel = self._rel
@@ -459,8 +481,8 @@ class SmPipeline:
                 if rel:
                     lst = rel.pop(t, None)
                     if lst is not None:
-                        for warp, srcs, psrcs in lst:
-                            self._do_src_release(warp, srcs, psrcs, t)
+                        for warp, src_bits in lst:
+                            self._do_src_release(warp, src_bits, t)
             self.next_ready_cycle = wakes[0] if wakes else _INF
         warps = self.warps
         n = len(warps)
@@ -469,40 +491,33 @@ class SmPipeline:
             return 0
         if self._scan_dirty:
             self._rebuild_scan()
-        scan = self._scan
-        ns = len(scan)
+        cand = self._members & ~self._blocked
+        if self.pending_faults >= self._pending_limit:
+            cand &= ~self._memhead  # memory pipeline clogged by parked faults
         issued = 0
-        structural = False
-        sb_block = fault_block = log_block = False  # stall attribution
-        if ns:
+        if cand:
             budget = list(self._unit_budget_template)
             width = self._issue_width
-            sb_check = self._scoreboard_blocked
-            sb_early = self._sb_early
-            # First scan entry at master position >= rr (wrapping to 0):
-            # identical visit order to the reference scan, which starts at
-            # master index rr and skips non-ready warps as no-ops.
-            start = bisect_left(self._scan_pos, self.rr)
-            if start == ns:
-                start = 0
-            # Rotated copy: a plain for-loop over a list beats per-iteration
-            # wrap-around index arithmetic in the interpreter.
-            order = scan[start:] + scan[:start] if start else scan
-            for warp in order:
-                if (
-                    warp.done
-                    or warp.at_barrier
-                    or warp.fetch_holds
-                    or warp.fetch_ready > cycle
-                ):
+            rr = self.rr
+            if rr:
+                # Rotate so bit i stands for master position (rr + i) mod n:
+                # lowest bit first is the reference's visit order.
+                cand = (cand >> rr) | ((cand & ((1 << rr) - 1)) << (n - rr))
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                pos = low.bit_length() - 1 + rr
+                if pos >= n:
+                    pos -= n
+                warp = warps[pos]
+                if warp.sb_wait:
+                    # A commit or release for a switched-out warp cleared
+                    # this bit via its stale position; the verdict holds.
+                    self._blocked |= 1 << pos
                     continue
-                if warp.sb_wait and sb_early:
-                    # Head instruction and this warp's scoreboards are
-                    # untouched since the last verdict (issue, releases,
-                    # commits and replay squashes all clear the flag), so
-                    # the decode/budget/BAR work below would reach the same
-                    # "blocked" answer — skip it.
-                    sb_block = True
+                # Members are not done and not at a barrier, and within
+                # one walk only a warp's own issue changes that.
+                if warp.fetch_holds or warp.fetch_ready > cycle:
                     continue
                 rl = warp.replay_list
                 if rl:
@@ -510,26 +525,22 @@ class SmPipeline:
                     dec = _decode(tinst.inst)
                 else:
                     idx = warp.idx
-                    if idx >= warp.tlen:
-                        continue  # stale entry: draining
                     tinst = warp.trace[idx]
                     dec = warp.dtrace[idx]
                 if budget[dec[0]] <= 0:
-                    structural = True
-                    continue
+                    continue  # unit taken by an issue earlier this cycle
                 if dec[5] and warp.inflight:  # BAR waits for older insts
                     continue
-                if warp.sb_wait or sb_check(warp, dec):
+                pw = warp.pw  # inlined _scoreboard_blocked (hot path)
+                hazard = (dec[8] & pw) | (dec[9] & (pw | warp.prm))
+                if hazard:
                     warp.sb_wait = True
-                    sb_block = True
+                    warp.sb_bits = hazard
+                    self._blocked |= 1 << pos
                     continue
-                if dec[2]:
-                    if self.pending_faults >= self._pending_limit:
-                        fault_block = True
-                        continue  # memory pipeline clogged by parked faults
+                if dec[2]:  # not clogged, or the bitset would skip it
                     need = self._log_need[dec[3]]
                     if need and warp.block.log_used + need > warp.block.log_capacity:
-                        log_block = True
                         continue  # log partition full; event will wake us
                 budget[dec[0]] -= 1
                 self._issue(warp, tinst, dec, cycle)
@@ -539,23 +550,52 @@ class SmPipeline:
                     # rr advances to just past the last issued warp's
                     # master position.  (A completed full circle leaves rr
                     # unchanged, exactly like the reference.)
-                    nxt = warp.pos + 1
+                    nxt = pos + 1
                     self.rr = nxt if nxt < n else 0
                     break
-        self.sleeping = issued == 0 and not structural
-        if self.sleeping:
-            self.stats.cycles_asleep_entries += 1
-        if issued == 0 and self.tel is not None:
-            self._c_stall.add()
-            if fault_block:
-                self._c_stall_fault.add()
-            if sb_block:
-                self._c_stall_sb.add()
-            if log_block:
-                self._c_stall_log.add()
-            if structural:
-                self._c_stall_struct.add()
-        return issued
+        if issued:
+            self.sleeping = False
+            return issued
+        self.sleeping = True
+        self.stats.cycles_asleep_entries += 1
+        if self.tel is not None:
+            self._attribute_stall(cycle)
+        return 0
+
+    def _attribute_stall(self, cycle: float) -> None:
+        """Stall counters of a zero-issue cycle: the flags the reference
+        scan raises, from one pass over the warps in its precedence.  With
+        nothing issued every unit budget is full, so ``structural`` never
+        applies."""
+        sb_block = fault_block = log_block = False
+        clogged = self.pending_faults >= self._pending_limit
+        for warp in self.warps:
+            if warp.done or warp.at_barrier:
+                continue
+            if warp.fetch_holds or warp.fetch_ready > cycle:
+                continue
+            tinst = warp.next_inst()
+            if tinst is None:
+                continue
+            dec = _decode(tinst.inst)
+            if dec[5] and warp.inflight:
+                continue
+            if self._scoreboard_blocked(warp, dec):
+                sb_block = True
+            elif dec[2]:
+                if clogged:
+                    fault_block = True
+                else:
+                    need = self._log_need[dec[3]]
+                    if need and warp.block.log_used + need > warp.block.log_capacity:
+                        log_block = True
+        self._c_stall.add()
+        if fault_block:
+            self._c_stall_fault.add()
+        if sb_block:
+            self._c_stall_sb.add()
+        if log_block:
+            self._c_stall_log.add()
 
     def _try_issue_reference(self, cycle: float) -> int:
         """Reference issue scan (pre-overhaul behaviour): full round-robin
@@ -570,8 +610,8 @@ class SmPipeline:
                 if rel:
                     lst = rel.pop(t, None)
                     if lst is not None:
-                        for warp, srcs, psrcs in lst:
-                            self._do_src_release(warp, srcs, psrcs, t)
+                        for warp, src_bits in lst:
+                            self._do_src_release(warp, src_bits, t)
             self.next_ready_cycle = wakes[0] if wakes else _INF
         warps = self.warps
         n = len(warps)
@@ -633,42 +673,17 @@ class SmPipeline:
                 self._c_stall_struct.add()
         return issued
 
-    def _scoreboard_blocked(self, warp: WarpRT, dec) -> bool:
-        srcs, dests, psrcs, pdests = dec[6], dec[7], dec[8], dec[9]
-        pw, pr = warp.pw, warp.pr
-        for r in srcs:
-            if pw.get(r):
-                return True  # RAW
-        for r in dests:
-            if pw.get(r) or pr.get(r):
-                return True  # WAW / WAR
-        pwp, prp = warp.pwp, warp.prp
-        for p in psrcs:
-            if pwp.get(p):
-                return True
-        for p in pdests:
-            if pwp.get(p) or prp.get(p):
-                return True
-        return False
+    def _scoreboard_blocked(self, warp: WarpRT, dec) -> int:
+        """The pending bits that block ``dec`` on ``warp`` (0: none) — RAW
+        on a source, WAW or WAR on a destination."""
+        pw = warp.pw
+        return (dec[8] & pw) | (dec[9] & (pw | warp.prm))
 
     # ------------------------------------------------------------------
-
-    def _mark(self, table: Dict[int, int], keys) -> None:
-        for k in keys:
-            table[k] = table.get(k, 0) + 1
-
-    def _release(self, table: Dict[int, int], keys) -> None:
-        for k in keys:
-            left = table.get(k, 0) - 1
-            if left > 0:
-                table[k] = left
-            else:
-                table.pop(k, None)
 
     def _issue(self, warp: WarpRT, tinst: TraceInst, dec, cycle: float) -> None:
         """Issue one decoded instruction for ``warp`` at ``cycle``: claim
         scoreboards, then hand it to the memory / barrier / ALU path."""
-        srcs, dests, psrcs, pdests = dec[6], dec[7], dec[8], dec[9]
         if self.tel is not None:
             name = (
                 _ev.EV_REPLAY
@@ -683,28 +698,42 @@ class SmPipeline:
         rl = warp.replay_list
         if rl:
             rl.pop(0)
-            if not rl and warp.idx >= warp.tlen:
-                self._scan_dirty = True  # drained: drop from ready list
+            if rl:
+                head = _decode(rl[0].inst)
+            elif warp.idx < warp.tlen:
+                head = warp.dtrace[warp.idx]
+            else:
+                head = None
         else:
-            warp.idx += 1
-            if warp.idx >= warp.tlen:
-                self._scan_dirty = True
+            idx = warp.idx = warp.idx + 1
+            head = warp.dtrace[idx] if idx < warp.tlen else None
+        if head is None:
+            self._scan_dirty = True  # drained: drop from the members
+        elif head[2] != dec[2]:  # the memory-head bit follows the new head
+            if head[2]:
+                self._memhead |= 1 << warp.pos
+            else:
+                self._memhead &= ~(1 << warp.pos)
         warp.sb_wait = False  # the next instruction is a different one
         warp.fetch_ready = cycle + 1
         warp.inflight += 1
-        # inlined _mark x4 — this is the hottest scoreboard write path
-        table = warp.pr
-        for k in srcs:
-            table[k] = table.get(k, 0) + 1
-        table = warp.pw
-        for k in dests:
-            table[k] = table.get(k, 0) + 1
-        table = warp.prp
-        for k in psrcs:
-            table[k] = table.get(k, 0) + 1
-        table = warp.pwp
-        for k in pdests:
-            table[k] = table.get(k, 0) + 1
+        dst = dec[9]
+        if self.sanitizer is not None and warp.pw & dst:
+            from repro.chaos import InvariantViolation
+
+            raise InvariantViolation(
+                "second pending write to a register",
+                {"sm": self.sm_id, "warp": warp.slot,
+                 "block": warp.block.block_id, "op": tinst.inst.op.name,
+                 "registers": mask_names(warp.pw & dst)},
+            )
+        warp.pw |= dst
+        src_bits = dec[10]
+        if src_bits:
+            pr = warp.pr
+            for b in src_bits:
+                pr[b] = pr.get(b, 0) + 1
+            warp.prm |= dec[8]
         self.stats.issued += 1
         oprd = cycle + self._oprd_lat
 
@@ -722,11 +751,11 @@ class SmPipeline:
         # potentially excepting SFU divide is guaranteed exception-free only
         # once it completes execution, so a warp-disable scheme barriers it
         # and the replay-queue scheme holds its source scoreboards that long.
-        covers_arith = dec[11] and self._cover_arith
+        covers_arith = dec[7] and self._cover_arith
         src_release = oprd
         if covers_arith and self._anchor is None:
             src_release = self.scheme.source_release_time(oprd, commit_time)
-        self._queue_src_release(warp, srcs, psrcs, src_release, cycle)
+        self._queue_src_release(warp, src_bits, src_release, cycle)
         if dec[4] or (covers_arith and self._anchor is not None):
             # control flow: fetch disabled until commit (baseline); covered
             # arithmetic under a warp-disable scheme behaves the same way.
@@ -740,18 +769,15 @@ class SmPipeline:
                 )
             self.events.coalesced += 1
             self.events.call(
-                commit_time,
-                partial(self._commit_release_hold, warp, dests, pdests),
+                commit_time, partial(self._commit_release_hold, warp, dst)
             )
         else:
-            self.events.call(
-                commit_time, partial(self._commit, warp, dests, pdests)
-            )
+            self.events.call(commit_time, partial(self._commit, warp, dst))
         if commit_time > warp.block.drain_time:
             warp.block.drain_time = commit_time
 
     def _schedule_src_release(
-        self, warp, srcs, psrcs, time: float, now: float = None
+        self, warp, src_bits, time: float, now: float = None
     ):
         """Release source scoreboards at ``time``; when the release is due
         at or before ``now`` it executes inline (no heap push) — same batch,
@@ -761,55 +787,55 @@ class SmPipeline:
         the caller may need to squash the release (faulted in-flight
         instructions); everything else goes through the heap-free
         :meth:`_queue_src_release`."""
-        if not srcs and not psrcs:
+        if not src_bits:
             return None
         if now is not None and time <= now:
             self.events.coalesced += 1
-            self._do_src_release(warp, srcs, psrcs, now)
+            self._do_src_release(warp, src_bits, now)
             return None
         return self.events.schedule(
-            time, partial(self._do_src_release, warp, srcs, psrcs)
+            time, partial(self._do_src_release, warp, src_bits)
         )
 
-    def _queue_src_release(self, warp, srcs, psrcs, time: float, now: float) -> None:
+    def _queue_src_release(self, warp, src_bits, time: float, now: float) -> None:
         """Heap-free :meth:`_schedule_src_release` for releases that are
         never cancelled: due entries run inline; future ones park in the
         per-SM ``_rel`` map and fire from :meth:`try_issue`'s wake sweep —
         the same pre-scan point of their due cycle the heap dispatched them
         at, and release order within a timestamp is immaterial (counter
         decrements on per-warp tables commute)."""
-        if not srcs and not psrcs:
+        if not src_bits:
             return
         self.events.coalesced += 1
         if time <= now:
-            self._do_src_release(warp, srcs, psrcs, now)
+            self._do_src_release(warp, src_bits, now)
             return
         lst = self._rel.get(time)
         if lst is None:
-            self._rel[time] = [(warp, srcs, psrcs)]
+            self._rel[time] = [(warp, src_bits)]
             insort(self._wakes, time)
             if time < self.next_ready_cycle:
                 self.next_ready_cycle = time
         else:
-            lst.append((warp, srcs, psrcs))
+            lst.append((warp, src_bits))
 
-    def _do_src_release(self, warp, srcs, psrcs, time: float = 0.0) -> None:
-        # inlined _release x2 (hot path)
-        table = warp.pr
-        for k in srcs:
-            left = table.get(k, 0) - 1
-            if left > 0:
-                table[k] = left
+    def _do_src_release(self, warp, src_bits, time: float = 0.0) -> None:
+        """Drop one read of each source bit; a WAR-blocked successor may
+        pass once a bit that blocked it has no reader left."""
+        pr = warp.pr
+        freed = 0
+        for b in src_bits:
+            left = pr[b] - 1
+            if left:
+                pr[b] = left
             else:
-                table.pop(k, None)
-        table = warp.prp
-        for k in psrcs:
-            left = table.get(k, 0) - 1
-            if left > 0:
-                table[k] = left
-            else:
-                table.pop(k, None)
-        warp.sb_wait = False  # a WAR-blocked successor may now pass
+                del pr[b]
+                freed |= b
+        if freed:
+            warp.prm &= ~freed
+            if warp.sb_wait and freed & warp.sb_bits:
+                warp.sb_wait = False
+                self._blocked &= ~(1 << warp.pos)
         self.sleeping = False  # inlined wake() (hot path)
 
     def _release_fetch_hold(self, warp: WarpRT, time: float = 0.0) -> None:
@@ -822,26 +848,16 @@ class SmPipeline:
             )
         self.sleeping = False  # inlined wake()
 
-    def _commit(self, warp: WarpRT, dests, pdests, time: float) -> None:
-        """Commit one in-flight instruction of ``warp``: release destination
-        scoreboards and retire the block if this emptied it."""
-        # inlined _release x2 (hot path)
-        table = warp.pw
-        for k in dests:
-            left = table.get(k, 0) - 1
-            if left > 0:
-                table[k] = left
-            else:
-                table.pop(k, None)
-        table = warp.pwp
-        for k in pdests:
-            left = table.get(k, 0) - 1
-            if left > 0:
-                table[k] = left
-            else:
-                table.pop(k, None)
+    def _commit(self, warp: WarpRT, dst: int, time: float) -> None:
+        """Commit one in-flight instruction of ``warp``: release its
+        destination mask ``dst`` and retire the block if this emptied it."""
+        if dst:
+            warp.pw &= ~dst
+            if warp.sb_wait and dst & warp.sb_bits:
+                # a RAW/WAW-blocked successor may now pass
+                warp.sb_wait = False
+                self._blocked &= ~(1 << warp.pos)
         warp.inflight -= 1
-        warp.sb_wait = False  # a RAW/WAW-blocked successor may now pass
         self.stats.committed += 1
         if self.tel is not None:
             self.tel.tracer.emit(
@@ -854,17 +870,17 @@ class SmPipeline:
             not warp.inflight and warp.idx >= warp.tlen and not warp.replay_list
         ):
             warp.done = True
-            self._scan_dirty = True  # done: drop from ready list
+            self._scan_dirty = True  # done: drop from the members
             block = warp.block
             self._check_barrier(block, time)
             if block.state in (BlockRT.ACTIVE, BlockRT.SAVING) and block.is_done():
                 self._block_finished(block, time)
 
-    def _commit_release_hold(self, warp: WarpRT, dests, pdests, time: float) -> None:
+    def _commit_release_hold(self, warp: WarpRT, dst: int, time: float) -> None:
         """Merged same-timestamp dispatch: fetch-hold release followed by
         commit (the order the reference scheduled them in)."""
         self._release_fetch_hold(warp, time)
-        self._commit(warp, dests, pdests, time)
+        self._commit(warp, dst, time)
 
     # ------------------------------------------------------------------
     # barriers
@@ -873,7 +889,7 @@ class SmPipeline:
     def _issue_barrier(self, warp: WarpRT, tinst, cycle: float, oprd: float) -> None:
         """Park ``warp`` at a BAR; restart everyone once the block arrives."""
         warp.at_barrier = True
-        self._scan_dirty = True  # parked: drop from ready list
+        self._scan_dirty = True  # parked: drop from the members
         block = warp.block
         if self.tel is not None:
             self.tel.tracer.emit(
@@ -882,7 +898,7 @@ class SmPipeline:
             )
         block.barrier_arrived += 1
         commit_time = oprd + tinst.inst.info.latency
-        self.events.call(commit_time, partial(self._commit, warp, (), ()))
+        self.events.call(commit_time, partial(self._commit, warp, 0))
         self._check_barrier(block, cycle)
 
     def _check_barrier(self, block: BlockRT, time: float) -> None:
@@ -896,7 +912,7 @@ class SmPipeline:
                 w.at_barrier = False
                 w.fetch_ready = max(w.fetch_ready, restart)
             block.barrier_arrived = 0
-            self._scan_dirty = True  # released warps rejoin the ready list
+            self._scan_dirty = True  # released warps rejoin the members
             self.schedule_wake(restart)
 
     # ------------------------------------------------------------------
@@ -952,7 +968,7 @@ class SmPipeline:
                         self._gmem_translate(w, ti, d, h, t, True),
                 )
                 return
-        srcs, dests, psrcs, pdests = dec[6], dec[7], dec[8], dec[9]
+        src_bits = dec[10]
         is_store = dec[3]
         block = warp.block
         anchor = self._anchor
@@ -974,7 +990,7 @@ class SmPipeline:
                 if self._src_imm
                 else self.scheme.source_release_time(now, last_check)
             )
-            self._queue_src_release(warp, srcs, psrcs, release_t, now)
+            self._queue_src_release(warp, src_bits, release_t, now)
             self._hold_log_until(block, is_store, last_check)
             if wd_hold and anchor == "lastcheck":
                 # The hold lifts at the same timestamp phase 2 starts
@@ -1029,7 +1045,7 @@ class SmPipeline:
             if self._src_imm
             else self.scheme.source_release_time(now, last_check_ok)
         )
-        src_ev = self._schedule_src_release(warp, srcs, psrcs, release_t, now)
+        src_ev = self._schedule_src_release(warp, src_bits, release_t, now)
         self._hold_log_until(block, is_store, last_check_ok)
 
         hold_evs = []
@@ -1064,10 +1080,10 @@ class SmPipeline:
         )
 
         commit_ev = self.events.schedule(
-            completion, partial(self._commit, warp, dests, pdests)
+            completion, partial(self._commit, warp, dec[9])
         )
         block.faulted_inflight.append(
-            (warp, tinst, commit_ev, dests, pdests, hold_evs, src_ev, slot_ev)
+            (warp, tinst, commit_ev, dec[9], hold_evs, src_ev, slot_ev)
         )
         self.events.call(
             completion, partial(self._forget_faulted, block, commit_ev)
@@ -1092,20 +1108,17 @@ class SmPipeline:
         """Phase 2 of the global-memory path: run the translated requests
         through the cache hierarchy and schedule the commit."""
         completion = self.memsys.data_access(
-            self.sm_id, lines, dec[3], now, is_atomic=dec[10]
+            self.sm_id, lines, dec[3], now, is_atomic=dec[6]
         )
         if wd_hold:
             # wd-commit: fetch re-enables when the instruction commits —
             # same timestamp, release first, merged into one event.
             self.events.coalesced += 1
             self.events.call(
-                completion,
-                partial(self._commit_release_hold, warp, dec[7], dec[9]),
+                completion, partial(self._commit_release_hold, warp, dec[9])
             )
         else:
-            self.events.call(
-                completion, partial(self._commit, warp, dec[7], dec[9])
-            )
+            self.events.call(completion, partial(self._commit, warp, dec[9]))
         if completion > warp.block.drain_time:
             warp.block.drain_time = completion
 
@@ -1149,7 +1162,7 @@ class SmPipeline:
         be switched out; each will be replayed from the restored context."""
         tel = self.tel
         for rec in block.faulted_inflight:
-            warp, tinst, commit_ev, dests, pdests, hold_evs, src_ev, slot_ev = rec
+            warp, tinst, commit_ev, dst, hold_evs, src_ev, slot_ev = rec
             if tel is not None:
                 tel.tracer.emit(
                     _ev.EV_SQUASH, time, self._tid,
@@ -1167,13 +1180,18 @@ class SmPipeline:
                 if not hold_ev.fired:
                     hold_ev.cancel()
                     warp.fetch_holds -= 1
-            self._release(warp.pw, dests)
-            self._release(warp.pwp, pdests)
+            # the replay marks the write again at its issue
+            warp.pw &= ~dst
             if src_ev is not None and not src_ev.fired:
                 src_ev.cancel()
-                dec = _decode(tinst.inst)
-                self._release(warp.pr, dec[6])
-                self._release(warp.prp, dec[8])
+                pr = warp.pr
+                for b in _decode(tinst.inst)[10]:
+                    left = pr[b] - 1
+                    if left:
+                        pr[b] = left
+                    else:
+                        del pr[b]
+                        warp.prm &= ~b
             warp.inflight -= 1
             warp.replay_list.append(tinst)
             warp.sb_wait = False  # scoreboards changed + next inst changed

@@ -20,10 +20,14 @@ from repro.chaos import (
 )
 from repro.core import make_scheme
 from repro.harness import architectural_digest, run_chaos_campaign
+from repro.isa import R
 from repro.system import GpuSimulator
+from repro.timing.decode import decode
 from repro.timing.engine import EventQueue
 from repro.vm import Owner, SystemPageState
 from repro.workloads import MICRO
+
+from tests.test_timing_sm import make_sm, t_alu, t_exit
 
 
 def build_sim(wl, scheme="replay-queue", paging="demand", **kw):
@@ -350,7 +354,7 @@ class TestWatchdog:
 
 def _clean_block():
     warp = SimpleNamespace(
-        slot=0, pw={}, pr={}, pwp={}, prp={}, inflight=0, replay_list=[]
+        slot=0, pw=0, pr={}, prm=0, inflight=0, replay_list=[]
     )
     return SimpleNamespace(
         block_id=1,
@@ -373,7 +377,7 @@ class TestSanitizer:
     @pytest.mark.parametrize(
         "corrupt,needle",
         [
-            (lambda b: b.warps[0].pw.update({5: 1}), "scoreboard"),
+            (lambda b: setattr(b.warps[0], "pw", 1 << 13), "scoreboard"),
             (lambda b: setattr(b.warps[0], "inflight", 2), "in-flight"),
             (lambda b: b.warps[0].replay_list.append(object()),
              "unreplayed"),
@@ -393,6 +397,17 @@ class TestSanitizer:
             )
         assert needle in str(exc_info.value)
         assert exc_info.value.details["sm"] == 3
+
+    def test_second_pending_write_detected(self):
+        """A scoreboard mask holds one pending write per register (the WAW
+        check blocks a second writer); the sanitized issue path checks it."""
+        trace = [t_alu(R(1), R(0)), t_exit()]
+        sm, _, block = make_sm([trace], sanitizer=InvariantSanitizer())
+        warp = block.warps[0]
+        dec = decode(trace[0].inst)
+        warp.pw = dec[9]  # R1 already has a write in flight
+        with pytest.raises(InvariantViolation, match="second pending write"):
+            sm._issue(warp, trace[0], dec, 0.0)
 
     def test_fired_faulted_record_tolerated(self):
         """At a faulted instruction's completion time the commit event

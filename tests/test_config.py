@@ -48,6 +48,18 @@ class TestTable1Defaults:
         assert cfg.num_sms == 8
         assert GPUConfig().num_sms == 16  # original untouched
 
+    @pytest.mark.parametrize(
+        "field",
+        ["issue_width", "num_math_units", "num_sfu_units", "num_ldst_units",
+         "num_branch_units"],
+    )
+    def test_issue_resources_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=field):
+            GPUConfig(**{field: 0})
+        with pytest.raises(ValueError, match=field):
+            GPUConfig().with_(**{field: -1})
+        assert getattr(GPUConfig().with_(**{field: 1}), field) == 1
+
 
 class TestOccupancy:
     def kernel(self, rpt, smem=0):

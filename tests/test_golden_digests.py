@@ -3,9 +3,10 @@
 The committed fixture ``tests/golden_digests.json`` was generated before
 the hot-loop optimizations landed; these tests recompute the digests with
 the current code and require exact matches.  The fast subset (micro
-workloads x schemes x paging, plus the block-switching/local-handling
-cases) runs on every tier-1 invocation; set ``REPRO_GOLDEN_FULL=1`` to
-also sweep the parboil rows the nightly uses.
+workloads x schemes x paging, plus the block-switching, local-handling
+and heap-fault cases) runs on every tier-1 invocation; set
+``REPRO_GOLDEN_FULL=1`` to also sweep the parboil rows, as the CI
+``perf-guard`` job does on every pull request.
 
 Regenerate (only for an intentional model change)::
 

@@ -90,7 +90,10 @@ def t_exit():
     return TraceInst(pc=0, inst=Instruction(Opcode.EXIT), active=32, addresses=None)
 
 
-def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4):
+def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4,
+            fault_ctl=None, **kwargs):
+    """One SM with one launched block; ``kwargs`` (``telemetry``,
+    ``sanitizer``, ...) go to :class:`SmPipeline`."""
     config = config or GPUConfig()
     events = EventQueue()
     sm = SmPipeline(
@@ -98,11 +101,12 @@ def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4):
         config=config,
         events=events,
         memsys=memsys or StubMemSys(),
-        fault_ctl=None,
+        fault_ctl=fault_ctl,
         scheme=scheme or BaselineStallOnFault(),
         block_source=StubBlockSource(),
         occupancy=occupancy,
         context_bytes_per_block=1024,
+        **kwargs,
     )
     btrace = BlockTrace(block_id=0)
     btrace.warps = [

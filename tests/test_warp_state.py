@@ -53,8 +53,7 @@ class TestWarpRT:
 
     def test_scoreboard_tables_start_empty(self):
         warp, _ = make_warp()
-        assert not warp.pw and not warp.pr
-        assert not warp.pwp and not warp.prp
+        assert not warp.pw and not warp.pr and not warp.prm
         assert warp.fetch_holds == 0
 
 
