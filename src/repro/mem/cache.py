@@ -5,15 +5,17 @@ the cache keeps tag state plus, for in-flight misses, the fill time of each
 pending line, so later requests to the same line merge onto the outstanding
 MSHR (secondary miss) instead of issuing a duplicate fill.  A bounded MSHR
 pool applies back-pressure: when all MSHRs are busy a new primary miss waits
-for the earliest release.
+for the earliest release.  :func:`walk` times all the lines of one warp
+access through L1, L2 and the DRAM pipe in one pass; :class:`Cache` and
+:class:`Dram` hold the state it works on.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 
 @dataclass
@@ -80,6 +82,11 @@ class Cache:
         self._pending: Dict[int, float] = {}
         # min-heap of outstanding primary-miss completion times (MSHR pool)
         self._mshr_busy: list = []
+        # what :func:`walk` loads into locals, in one unpack
+        self._walk_locals = (
+            self._sets, self.num_sets, assoc, self._pending,
+            self._mshr_busy, num_mshrs, latency, next_level_unloaded,
+        )
         self.stats = CacheStats()
         self.chaos = None  # set by attach_chaos
 
@@ -92,89 +99,16 @@ class Cache:
 
         self.chaos = chaos_active(chaos)
 
-    def _set_of(self, line: int) -> OrderedDict:
-        return self._sets[line % self.num_sets]
-
-    def _reserve_mshr(self, now: float) -> float:
-        """Return the time an MSHR becomes available (>= now)."""
-        busy = self._mshr_busy
-        while busy and busy[0] <= now:
-            heapq.heappop(busy)
-        if len(busy) >= self.num_mshrs:
-            self.stats.mshr_stalls += 1
-            return heapq.heappop(busy)
-        return now
-
-    def _commit_mshr(self, fill_time: float) -> None:
-        heapq.heappush(self._mshr_busy, fill_time)
-
     def probe(self, line: int) -> bool:
         """Tag check without state change (used by tests)."""
-        return line in self._set_of(line)
+        return line in self._sets[line % self.num_sets]
 
     def access(
-        self,
-        line: int,
-        now: float,
-        is_store: bool,
-        next_level_access,
+        self, line: int, now: float, is_store: bool, below: "Dram"
     ) -> float:
-        """Access ``line`` at time ``now``; returns data-ready time.
-
-        ``next_level_access(start_time, line, is_store) -> ready_time`` is
-        invoked for primary misses.
-        """
-        self.stats.accesses += 1
-        cset = self._set_of(line)
-        if line in cset:
-            pending_fill = self._pending.get(line)
-            if pending_fill is not None and pending_fill > now:
-                # Fill still in flight: merge onto the outstanding MSHR.
-                self.stats.secondary_misses += 1
-                cset.move_to_end(line)
-                return max(pending_fill, now + self.latency)
-            self._pending.pop(line, None)
-            self.stats.hits += 1
-            cset.move_to_end(line)
-            if is_store:
-                cset[line] = True
-            return now + self.latency
-
-        # Primary miss.
-        self.stats.misses += 1
-        slot = self._reserve_mshr(now)
-        chaos = self.chaos
-        if chaos is not None:
-            stall = chaos.mshr_exhaustion(now, self.name)
-            if stall:
-                # Injected exhaustion: the miss waits as if every MSHR
-                # were busy, taking the same future-service path (and
-                # unloaded downstream charge) as a real pool stall.
-                self.stats.mshr_stalls += 1
-                slot = max(slot, now + stall)
-        if slot <= now:
-            ready = next_level_access(now + self.latency, line, is_store)
-        else:
-            # Waited for an MSHR: service happens in the future — charge the
-            # unloaded downstream latency (see __init__ docstring).
-            ready = slot + self.latency + self.next_level_unloaded
-        self._commit_mshr(ready)
-        self._install(line, dirty=is_store)
-        self._pending[line] = ready
-        return ready
-
-    def _install(self, line: int, dirty: bool) -> None:
-        cset = self._set_of(line)
-        if line in cset:
-            cset.move_to_end(line)
-            if dirty:
-                cset[line] = True
-            return
-        if len(cset) >= self.assoc:
-            victim, _ = cset.popitem(last=False)  # evict LRU
-            self._pending.pop(victim, None)
-            self.stats.evictions += 1
-        cset[line] = dirty
+        """Access ``line`` at time ``now`` with this cache alone in front
+        of the DRAM pipe ``below``; returns the data-ready time."""
+        return walk(None, self, below, (line,), now, is_store)
 
     def flush(self) -> None:
         """Drop all state (used between experiment runs)."""
@@ -195,7 +129,8 @@ class Dram:
     """Simple DRAM: fixed latency plus a shared bandwidth pipe.
 
     Bandwidth is modeled with a "next free" accumulator: each line transfer
-    occupies the pipe for ``line_size / bytes_per_cycle`` cycles.
+    (timed by :func:`walk`) occupies the pipe for
+    ``line_size / bytes_per_cycle`` cycles.
     """
 
     def __init__(self, latency: int, bandwidth_bytes_per_cycle: float, line_size: int) -> None:
@@ -214,30 +149,16 @@ class Dram:
 
         self.chaos = chaos_active(chaos)
 
-    def _maybe_refresh(self, now: float) -> None:
-        """Chaos hook site: push ``_next_free`` past an injected refresh
-        burst so the next transfer queues behind it (timing only)."""
-        block = self.chaos.refresh_storm(now)
-        if block:
-            self._next_free = max(self._next_free, now) + block
-            self.stats.busy_cycles += block
-
-    def access(self, now: float, line: int, is_store: bool) -> float:
-        if self.chaos is not None:
-            self._maybe_refresh(now)
-        occupancy = self.line_size / self.bytes_per_cycle
-        start = max(now, self._next_free)
-        self._next_free = start + occupancy
-        self.stats.accesses += 1
-        self.stats.bytes_transferred += self.line_size
-        self.stats.busy_cycles += occupancy
-        return start + occupancy + self.latency
-
     def reserve_bandwidth(self, now: float, nbytes: int) -> float:
         """Occupy the pipe for a bulk transfer (context save/restore, page
         migration landing in GPU memory); returns completion time."""
         if self.chaos is not None:
-            self._maybe_refresh(now)
+            # Chaos hook site: an injected refresh burst blocks the pipe
+            # ahead of the transfer (timing only).
+            block = self.chaos.refresh_storm(now)
+            if block:
+                self._next_free = max(self._next_free, now) + block
+                self.stats.busy_cycles += block
         occupancy = nbytes / self.bytes_per_cycle
         start = max(now, self._next_free)
         self._next_free = start + occupancy
@@ -247,3 +168,174 @@ class Dram:
 
     def flush(self) -> None:
         self._next_free = 0.0
+
+
+def walk(
+    l1: Optional[Cache],
+    l2: Cache,
+    dram: Dram,
+    lines: Sequence[int],
+    now: float,
+    is_store: bool,
+) -> float:
+    """Time ``lines`` through ``l1`` -> ``l2`` -> ``dram`` in one pass, every
+    request issued at ``now``; returns the latest data-ready time (``now``
+    when ``lines`` is empty).
+
+    This is the only implementation of cache and DRAM line timing.  ``l1``
+    is ``None`` for requests that bypass it (stores and atomics at the
+    no-write-allocate L1); it only ever sees loads.  ``is_store`` marks the
+    line dirty in ``l2``.  Each level's sets, pending fills and MSHR heap,
+    and the DRAM pipe, are held in locals for the whole access (the L2 and
+    DRAM ones from the first request that reaches them), and the frequent
+    counters are written back once at the end.
+
+    Per request and level: a tag hit is ready after the hit latency; a hit
+    on a line whose fill is still in flight merges onto that MSHR
+    (secondary miss); a primary miss takes an MSHR (waiting for the
+    earliest release when the pool is full) and goes down a level after
+    the tag check.  A miss that had to wait for an MSHR is charged the
+    level's unloaded downstream latency instead of booking the shared
+    resources below at a future time (see :class:`Cache`).  The
+    ``cache.mshr_exhaustion`` and ``dram.refresh_storm`` chaos hooks are
+    drawn at their sites, L1 before L2 before DRAM for each request.
+    """
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    latest = now
+    below = False  # L2 and DRAM state loaded into locals
+    if l1 is not None:
+        (sets1, nsets1, assoc1, pend1, mshr1, nmshr1, lat1,
+         unl1) = l1._walk_locals
+        stats1 = l1.stats
+        chaos1 = l1.chaos
+        hit1 = now + lat1
+        hits1 = misses1 = 0
+
+    for line in lines:
+        ready = None
+        if l1 is None:
+            t = now
+        else:
+            cset1 = sets1[line % nsets1]
+            if line in cset1:
+                fill = pend1.get(line)
+                cset1.move_to_end(line)
+                if fill is not None and fill > now:
+                    stats1.secondary_misses += 1
+                    ready = max(fill, hit1)
+                else:
+                    if fill is not None:
+                        del pend1[line]
+                    hits1 += 1
+                    ready = hit1
+                if ready > latest:
+                    latest = ready
+                continue
+            misses1 += 1
+            while mshr1 and mshr1[0] <= now:
+                heappop(mshr1)
+            if len(mshr1) >= nmshr1:
+                stats1.mshr_stalls += 1
+                slot = heappop(mshr1)
+            else:
+                slot = now
+            if chaos1 is not None:
+                stall = chaos1.mshr_exhaustion(now, l1.name)
+                if stall:
+                    stats1.mshr_stalls += 1
+                    slot = max(slot, now + stall)
+            if slot <= now:
+                t = hit1
+            else:
+                ready = slot + lat1 + unl1
+
+        if ready is None:
+            if not below:
+                below = True
+                (sets2, nsets2, assoc2, pend2, mshr2, nmshr2, lat2,
+                 unl2) = l2._walk_locals
+                stats2 = l2.stats
+                chaos2 = l2.chaos
+                acc2 = hits2 = misses2 = d_lines = 0
+            acc2 += 1
+            cset2 = sets2[line % nsets2]
+            if line in cset2:
+                fill = pend2.get(line)
+                cset2.move_to_end(line)
+                if fill is not None and fill > t:
+                    stats2.secondary_misses += 1
+                    ready = max(fill, t + lat2)
+                else:
+                    if fill is not None:
+                        del pend2[line]
+                    hits2 += 1
+                    if is_store:
+                        cset2[line] = True
+                    ready = t + lat2
+            else:
+                misses2 += 1
+                while mshr2 and mshr2[0] <= t:
+                    heappop(mshr2)
+                if len(mshr2) >= nmshr2:
+                    stats2.mshr_stalls += 1
+                    slot = heappop(mshr2)
+                else:
+                    slot = t
+                if chaos2 is not None:
+                    stall = chaos2.mshr_exhaustion(t, l2.name)
+                    if stall:
+                        stats2.mshr_stalls += 1
+                        slot = max(slot, t + stall)
+                if slot <= t:
+                    if not d_lines:  # first line transfer: load the pipe
+                        d_chaos = dram.chaos
+                        d_occ = dram.line_size / dram.bytes_per_cycle
+                        d_lat = dram.latency
+                        d_free = dram._next_free
+                        d_busy = dram.stats.busy_cycles
+                    u = t + lat2
+                    if d_chaos is not None:
+                        block = d_chaos.refresh_storm(u)
+                        if block:
+                            d_free = max(d_free, u) + block
+                            d_busy += block
+                    start = d_free if d_free > u else u
+                    d_free = start + d_occ
+                    d_lines += 1
+                    d_busy += d_occ
+                    ready = start + d_occ + d_lat
+                else:
+                    ready = slot + lat2 + unl2
+                heappush(mshr2, ready)
+                if len(cset2) >= assoc2:
+                    pend2.pop(cset2.popitem(last=False)[0], None)
+                    stats2.evictions += 1
+                cset2[line] = is_store
+                pend2[line] = ready
+
+        if l1 is not None:
+            heappush(mshr1, ready)
+            if len(cset1) >= assoc1:
+                pend1.pop(cset1.popitem(last=False)[0], None)
+                stats1.evictions += 1
+            cset1[line] = False
+            pend1[line] = ready
+        if ready > latest:
+            latest = ready
+
+    if l1 is not None:
+        stats1.accesses += len(lines)
+        stats1.hits += hits1
+        stats1.misses += misses1
+    if below:
+        stats2.accesses += acc2
+        stats2.hits += hits2
+        stats2.misses += misses2
+        if d_lines:
+            dram._next_free = d_free
+            dstats = dram.stats
+            dstats.accesses += d_lines
+            dstats.bytes_transferred += d_lines * dram.line_size
+            dstats.busy_cycles = d_busy
+    return latest

@@ -31,9 +31,7 @@ class CoalescedAccess(NamedTuple):
 
     lines: Tuple[int, ...]  # unique cache-line indices, in first-touch order
     vpns: Tuple[int, ...]  # unique virtual page numbers, in first-touch order
-    #: virtual page of each entry of ``lines`` (same order); empty on
-    #: hand-built instances — consumers fall back to computing from ``lines``
-    line_vpns: Tuple[int, ...] = ()
+    line_vpns: Tuple[int, ...]  # virtual page of each entry of ``lines``
 
     @property
     def num_requests(self) -> int:

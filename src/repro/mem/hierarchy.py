@@ -1,34 +1,35 @@
 """The GPU memory subsystem: per-SM L1 caches, shared L2, DRAM, and the MMU.
 
-``warp_access`` is the single entry point the SM's global-memory pipeline
-uses: it coalesces lane addresses, streams the coalesced requests through the
-per-SM LD/ST address pipeline (one request per cycle — this serialization is
-why the *last* TLB check of a scattered warp access lands tens of cycles
-after issue), translates each unique page (detecting page faults at walk
-completion), sends each non-faulted request through L1 -> L2 -> DRAM, and
-reports per-instruction timing:
+The SM's global-memory pipeline drives a warp access in two timed events,
+so that shared resources are only ever booked in global time order:
 
-- ``translation_done`` — when the last TLB check finished (the paper's
-  earliest safe point to re-enable a disabled warp / release replay-queue
-  source scoreboards),
-- ``completion`` — when all non-faulted requests' data is ready,
-- ``faults`` — the virtual pages that had no valid GPU mapping.
+- :meth:`MemorySubsystem.translate_access_coalesced` (at operand read)
+  streams the coalesced requests through the per-SM LD/ST address pipeline,
+  one request per cycle, and translates each unique page once, at the slot
+  of its first request.  That serialization is why the *last* TLB check of
+  a scattered warp access lands tens of cycles after issue.  Page faults
+  are detected at walk completion.  It reports ``translation_done`` (when
+  the last TLB check finished: the paper's earliest safe point to
+  re-enable a disabled warp or release replay-queue source scoreboards),
+  the lines whose page translated, and the faulted pages.
+- :meth:`MemorySubsystem.data_access` (at ``translation_done``) walks those
+  lines through L1 -> L2 -> DRAM in one pass (:func:`repro.mem.cache.walk`)
+  and returns the instruction's completion time.
 
+``warp_access`` runs both phases back to back for tests and tools.
 Faulted instructions are *replayed* after resolution via
-``replay_after_fault``, which charges unloaded latencies only: replay happens
-far in simulation future, and pushing shared bandwidth accumulators (LD/ST
-pipe, DRAM pipe, MSHR pools) to future timestamps would stall unrelated
-present-time accesses.
+``replay_after_fault_coalesced``, which charges unloaded latencies only:
+replay happens far in simulation future, and pushing shared bandwidth
+accumulators (LD/ST pipe, DRAM pipe, MSHR pools) to future timestamps
+would stall unrelated present-time accesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, NamedTuple, Sequence
 
-from repro.vm import PAGE_SHIFT, SystemPageState
-
-from .cache import Cache, Dram
+from .cache import Cache, Dram, walk
 from .coalescer import coalesce
 from .tlb import Mmu
 
@@ -57,19 +58,20 @@ class AccessResult:
         return bool(self.faults)
 
 
-@dataclass
-class TranslationOutcome:
+class TranslationOutcome(NamedTuple):
     """Phase 1 of a warp access: coalescing + translation of every page.
 
     ``ready_lines`` holds the coalesced requests whose page translated
     successfully; the data-path phase (cache/DRAM) runs at
     ``translation_done`` so shared bandwidth resources are only ever booked
-    in global time order.
+    in global time order.  A NamedTuple, like
+    :class:`~repro.mem.coalescer.CoalescedAccess`, because one is built per
+    warp access.
     """
 
     translation_done: float
-    ready_lines: List[int] = field(default_factory=list)
-    faults: List[FaultInfo] = field(default_factory=list)
+    ready_lines: Sequence[int] = ()
+    faults: Sequence[FaultInfo] = ()
     num_requests: int = 0
 
     @property
@@ -165,9 +167,6 @@ class MemorySubsystem:
 
     # ------------------------------------------------------------------
 
-    def _l2_access(self, start: float, line: int, is_store: bool) -> float:
-        return self.l2_cache.access(line, start, is_store, self.dram.access)
-
     def translate_access(
         self,
         sm_id: int,
@@ -175,13 +174,7 @@ class MemorySubsystem:
         is_store: bool,
         now: float,
     ) -> TranslationOutcome:
-        """Phase 1 (at operand read): coalesce and translate.
-
-        The coalesced requests stream through the per-SM LD/ST address
-        pipeline (one per cycle); each unique page is translated when its
-        first request reaches the TLB-check slot.  Page faults are detected
-        here, at walk completion.
-        """
+        """:meth:`translate_access_coalesced` for raw lane addresses."""
         return self.translate_access_coalesced(
             sm_id, coalesce(addresses, self.config.line_size), is_store, now
         )
@@ -193,83 +186,49 @@ class MemorySubsystem:
         is_store: bool,
         now: float,
     ) -> TranslationOutcome:
-        """:meth:`translate_access` for an already-coalesced access.
+        """Phase 1 (at operand read): translate a coalesced access.
 
-        The SM pipeline's fast path feeds memoized per-trace-record
+        The requests stream through the per-SM LD/ST address pipeline, one
+        per cycle from ``max(now, pipe free)``.  Each unique page is
+        translated once, in first-touch order, when its first request
+        reaches the TLB-check slot; every later request on that page sees
+        the same result.  ``translation_done`` is therefore the later of
+        one past the last request's slot and the latest page translation,
+        which is what checking each request in turn would give, since the
+        slots rise with the request index.  The SM feeds memoized
         coalescing results (:func:`repro.mem.coalescer.coalesce_inst`)
-        through this entry point so the bucketing work is not redone on
-        every issue or replay (docs/PERFORMANCE.md)."""
+        so the bucketing is not redone on every issue or replay."""
         lines = access.lines
+        line_vpns = access.line_vpns
         nreq = len(lines)
         start0 = max(now, self._ldst_free[sm_id])
         self._ldst_free[sm_id] = start0 + nreq
-
-        vpns = access.vpns
-        if len(vpns) == 1 and lines:
-            # Fast path: the whole access sits on one page (the common case
-            # for unit-stride warps) — one TLB check at the first request
-            # slot covers every line.  ``translation_done`` collapses to
-            # max(last request slot + 1, walk completion), exactly what the
-            # general loop below computes for a single shared result.
-            vpn = vpns[0]
-            result = self.mmu.translate(sm_id, vpn, start0)
-            translation_done = max(start0 + nreq, result.done_time)
+        # one past the last request's slot, summed in the order the
+        # per-request check summed it (fractional times round)
+        translation_done = start0 + (nreq - 1) + 1
+        translate = self.mmu.translate
+        faults = None
+        for vpn in access.vpns:
+            result = translate(sm_id, vpn, start0 + line_vpns.index(vpn))
+            done = result.done_time
+            if done > translation_done:
+                translation_done = done
             if result.faulted:
-                return TranslationOutcome(
-                    translation_done=translation_done,
-                    ready_lines=[],
-                    faults=[
-                        FaultInfo(
-                            vpn=vpn,
-                            detect_time=result.done_time,
-                            sm_id=sm_id,
-                            is_store=is_store,
-                        )
-                    ],
-                    num_requests=nreq,
-                )
-            return TranslationOutcome(
-                translation_done=translation_done,
-                ready_lines=list(lines),
-                faults=[],
-                num_requests=nreq,
-            )
-
-        line_size = self.config.line_size
-        line_vpns = access.line_vpns
-        page_results: Dict[int, object] = {}
-        faults: Dict[int, FaultInfo] = {}
-        ready_lines: List[int] = []
-        translation_done = now
-        for i, line in enumerate(access.lines):
-            slot = start0 + i
-            vpn = (
-                line_vpns[i]
-                if line_vpns
-                else (line * line_size) >> PAGE_SHIFT
-            )
-            result = page_results.get(vpn)
-            if result is None:
-                result = self.mmu.translate(sm_id, vpn, slot)
-                page_results[vpn] = result
-                if result.faulted:
-                    faults[vpn] = FaultInfo(
-                        vpn=vpn,
-                        detect_time=result.done_time,
-                        sm_id=sm_id,
+                if faults is None:
+                    faults = []
+                faults.append(
+                    FaultInfo(
+                        vpn=vpn, detect_time=done, sm_id=sm_id,
                         is_store=is_store,
                     )
-            check_done = max(slot + 1, result.done_time)
-            translation_done = max(translation_done, check_done)
-            if not result.faulted:
-                ready_lines.append(line)
-
-        return TranslationOutcome(
-            translation_done=translation_done,
-            ready_lines=ready_lines,
-            faults=list(faults.values()),
-            num_requests=access.num_requests,
-        )
+                )
+        if faults is None:
+            return TranslationOutcome(translation_done, lines, (), nreq)
+        faulted = {f.vpn for f in faults}
+        ready_lines = [
+            line for line, vpn in zip(lines, line_vpns) if vpn not in faulted
+        ]
+        return TranslationOutcome(translation_done, ready_lines, faults, nreq)
 
     def data_access(
         self,
@@ -290,16 +249,15 @@ class MemorySubsystem:
         """
         completion = now + self.config.l1_latency
         if is_store or is_atomic:
-            for line in ready_lines:
-                ready = self._l2_access(now, line, True)
-                if is_atomic:
-                    completion = max(completion, ready)
-            return completion
-        l1 = self.l1_caches[sm_id]
-        for line in ready_lines:
-            ready = l1.access(line, now, False, self._l2_access)
-            completion = max(completion, ready)
-        return completion
+            ready = walk(
+                None, self.l2_cache, self.dram, ready_lines, now, True
+            )
+            return max(completion, ready) if is_atomic else completion
+        ready = walk(
+            self.l1_caches[sm_id], self.l2_cache, self.dram, ready_lines,
+            now, False,
+        )
+        return max(completion, ready)
 
     def warp_access(
         self,

@@ -343,7 +343,7 @@ class FaultController:
         stale = [g for g, t in self._unresolved.items() if t <= time]
         for g in stale:
             del self._unresolved[g]
-        return sum(1 for t in self._unresolved.values() if t > time)
+        return len(self._unresolved)
 
     def pending_groups(self, time: float) -> List[int]:
         return [g for g, t in self._unresolved.items() if t > time]

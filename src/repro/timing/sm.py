@@ -302,9 +302,6 @@ class SmPipeline:
         # right at operand read; custom schemes without the hint take the
         # method-call path, which inlines the release anyway when it is due.
         self._src_imm = getattr(scheme, "immediate_source_release", False)
-        self._memsys_fast = hasattr(memsys, "translate_access_coalesced") and (
-            hasattr(memsys, "replay_after_fault_coalesced")
-        )
         # Chaos / sanitizer (repro.chaos): both None unless enabled, so the
         # issue and retirement hot paths pay only an ``is not None`` check.
         from repro.chaos import chaos_active as _chaos_active
@@ -972,16 +969,10 @@ class SmPipeline:
         is_store = dec[3]
         block = warp.block
         anchor = self._anchor
-        if self._memsys_fast:
-            access = coalesce_inst(tinst, self._line_size)
-            outcome = self.memsys.translate_access_coalesced(
-                self.sm_id, access, is_store, now
-            )
-        else:
-            access = None
-            outcome = self.memsys.translate_access(
-                self.sm_id, tinst.addresses, is_store, now
-            )
+        access = coalesce_inst(tinst, self._line_size)
+        outcome = self.memsys.translate_access_coalesced(
+            self.sm_id, access, is_store, now
+        )
 
         if not outcome.faults:
             last_check = outcome.translation_done
@@ -1029,14 +1020,9 @@ class SmPipeline:
             block.pending_groups[fo.group] = max(
                 block.pending_groups.get(fo.group, 0.0), fo.resolved_time
             )
-        if access is not None:
-            replay = self.memsys.replay_after_fault_coalesced(
-                self.sm_id, access, resolved + REPLAY_ISSUE_COST
-            )
-        else:
-            replay = self.memsys.replay_after_fault(
-                self.sm_id, tinst.addresses, resolved + REPLAY_ISSUE_COST
-            )
+        replay = self.memsys.replay_after_fault_coalesced(
+            self.sm_id, access, resolved + REPLAY_ISSUE_COST
+        )
         completion = replay.completion
         last_check_ok = replay.translation_done
 

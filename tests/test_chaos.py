@@ -235,18 +235,16 @@ class TestMemoryHierarchyHooks:
     def test_mshr_stall_takes_future_service_path(self):
         """An injected exhaustion must charge the unloaded downstream
         latency (the future-service path), not book shared resources."""
-        from repro.mem.cache import Cache
+        from repro.mem.cache import Cache, Dram
 
         always = ChaosConfig(mshr_exhaustion_rate=1.0,
                              mshr_stall_max_cycles=100.0)
         cache = Cache("l1", size_bytes=1024, assoc=2, line_size=64,
                       latency=4, num_mshrs=8, next_level_unloaded=50.0)
         cache.attach_chaos(ChaosEngine(always, seed=0))
-        calls = []
-        ready = cache.access(
-            0, 10.0, False, lambda t, line, st: calls.append(line) or t + 1
-        )
-        assert not calls  # stalled miss never touched the next level
+        dram = Dram(latency=0, bandwidth_bytes_per_cycle=64, line_size=64)
+        ready = cache.access(0, 10.0, False, dram)
+        assert dram.stats.accesses == 0  # stalled miss never touched DRAM
         assert ready > 10.0 + cache.latency + cache.next_level_unloaded
         assert cache.stats.mshr_stalls == 1
 

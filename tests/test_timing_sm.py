@@ -25,18 +25,18 @@ class StubMemSys:
         self.check_latency = check_latency
         self.data_latency = data_latency
         self.fault_vpns = set(faults)
-        self.accesses = []
 
-    def translate_access(self, sm_id, addresses, is_store, now):
-        self.accesses.append((now, tuple(addresses), is_store))
+    def translate_access_coalesced(self, sm_id, access, is_store, now):
         from repro.mem.hierarchy import FaultInfo
 
-        vpns = {a >> 12 for a in addresses}
         faults = [
             FaultInfo(vpn=v, detect_time=now + self.check_latency, sm_id=sm_id)
-            for v in sorted(vpns & self.fault_vpns)
+            for v in sorted(set(access.vpns) & self.fault_vpns)
         ]
-        lines = sorted({a // 128 for a in addresses if (a >> 12) not in self.fault_vpns})
+        lines = sorted(
+            line for line, vpn in zip(access.lines, access.line_vpns)
+            if vpn not in self.fault_vpns
+        )
         return TranslationOutcome(
             translation_done=now + self.check_latency,
             ready_lines=lines,
@@ -49,7 +49,7 @@ class StubMemSys:
             return now + 5.0
         return now + self.data_latency
 
-    def replay_after_fault(self, sm_id, addresses, resolved_time):
+    def replay_after_fault_coalesced(self, sm_id, access, resolved_time):
         from repro.mem.hierarchy import AccessResult
 
         return AccessResult(
