@@ -5,7 +5,7 @@ rows the paper reports.  By default a representative benchmark subset is
 used so the whole harness completes in minutes; set ``REPRO_FULL_BENCH=1``
 to sweep the full suites (as EXPERIMENTS.md does).
 
-The perf gates of the four ``BENCH_*`` records share :func:`perf_gate`.
+The perf gates of the three ``BENCH_*`` records share :func:`perf_gate`.
 """
 
 import os
@@ -30,13 +30,13 @@ def show(table) -> None:
 def check_gate(record, measured, command, scores) -> None:
     """Write ``{"committed", "measured"}`` to ``REPRO_PERF_GATE_OUT``
     when it is set (the CI artifact), then require every
-    ``(label, got, committed[, floor])`` of ``scores`` to lie within
+    ``(label, got, committed)`` of ``scores`` to lie within
     :func:`repro.harness.bench.band` of its committed value."""
     out = os.environ.get("REPRO_PERF_GATE_OUT")
     if out:
         bench.save_record({"committed": record, "measured": measured}, out)
-    for label, got, committed, *floor in scores:
-        lo, hi = bench.band(committed, *floor)
+    for label, got, committed in scores:
+        lo, hi = bench.band(committed)
         assert lo <= got <= hi, (
             f"{label} {got:.3f} outside [{lo:.3f}, {hi:.3f}] (committed "
             f"{committed:.3f} ±{bench.GATE_TOLERANCE:.0%}); a real "

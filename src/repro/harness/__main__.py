@@ -9,16 +9,14 @@ Examples::
     python -m repro.harness trace sgemm --scheme wd-commit --block-switching
     python -m repro.harness chaos saxpy --seed 11
     python -m repro.harness chaos --workloads all --seeds 0 1 2 --workers 4
-    python -m repro.harness sweep lbm --seeds 0 1 --backend vectorized
     python -m repro.harness figures
-    python -m repro.harness campaign
     python -m repro.harness chaos --workloads all --seeds 0 1 \\
         --out soak --coordinate 8420
     python -m repro.harness worker --coordinator http://127.0.0.1:8420
     python -m repro.harness mc --campaign --workers 2
     python -m repro.harness chaos --workloads all --seeds 0 1 --dry-run
 
-Campaign subcommands (``all``/``chaos``/``sweep``/``mc --campaign``)
+Campaign subcommands (``all``/``chaos``/``mc --campaign``)
 share one execution tail: ``--dry-run`` prints the cell matrix with
 duration estimates, ``--coordinate PORT`` serves the matrix to remote
 ``worker`` processes over HTTP (work-stealing leases, validated
@@ -66,9 +64,7 @@ SUBCOMMANDS = (
     "golden",
     "streams",
     "hotloop",
-    "sweep",
     "figures",
-    "campaign",
     "serve",
     "serve-bench",
     "mc",
@@ -193,13 +189,6 @@ def _add_campaign_flags(parser) -> None:
         help="base of the exponential retry backoff in seconds",
     )
     parser.add_argument(
-        "--backend", default="scalar", choices=["scalar", "vectorized"],
-        help="campaign backend: 'vectorized' batches eligible sweep "
-             "cells as one numpy program; ineligible cells (chaos hooks, "
-             "unsupported schemes, non-sweep cells) fall back to the "
-             "scalar engine with a logged reason (docs/VECTORIZATION.md)",
-    )
-    parser.add_argument(
         "--dry-run", action="store_true",
         help="print the cell matrix in canonical (merge) order with "
              "per-cell duration estimates from the timeout history "
@@ -272,7 +261,6 @@ def _campaign_dispatch(args, cells, parser, *, keep_going: bool = True):
             adaptive_timeout=args.adaptive_timeout,
             max_attempts=args.max_attempts,
             backoff_base=args.backoff_base,
-            backend=args.backend,
             keep_going=keep_going,
         )
     except ValueError as exc:
@@ -291,78 +279,6 @@ def _report_campaign(result, fmt: str = "{:.3f}") -> None:
     if result.manifest_path:
         print(f"[campaign] manifest: {result.manifest_path}",
               file=sys.stderr)
-
-
-def _sweep_main(argv) -> int:
-    """The ``sweep`` subcommand: a batch-model campaign over schemes,
-    seeds and fault-latency scales of one or more workloads, runnable on
-    the scalar or the vectorized backend (docs/VECTORIZATION.md)."""
-    from repro.batch import PAGING_MODES, VECTORIZABLE_SCHEMES
-    from repro.batch import build_sweep_cells
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness sweep",
-        description=(
-            "Sweep the batch timing model over schemes x seeds x "
-            "fault-latency scales for each workload.  --backend "
-            "vectorized evaluates each eligible batch as one numpy "
-            "program, validated against the scalar reference on a "
-            "sampled subset (docs/VECTORIZATION.md)."
-        ),
-    )
-    parser.add_argument("workloads", nargs="+",
-                        help="benchmark names (e.g. stream-sum, lbm)")
-    parser.add_argument(
-        "--schemes", nargs="+", default=list(VECTORIZABLE_SCHEMES),
-        help="pipeline schemes to sweep (operand-log variants force the "
-             "scalar backend)",
-    )
-    parser.add_argument("--seeds", nargs="+", type=int, default=[0],
-                        help="fault-jitter seeds")
-    parser.add_argument(
-        "--latency-scales", nargs="+", type=int, default=[100],
-        metavar="PERCENT",
-        help="fault-latency scales as integer percent (100 = nominal)",
-    )
-    parser.add_argument(
-        "--paging", default="demand", choices=list(PAGING_MODES),
-        help="paging mode (demand modes actually take faults)",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="enable the model's chaos latency chain (scalar-only: "
-             "vectorized cells fall back with a logged reason)",
-    )
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="wall-clock timeout in seconds per cell")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="also write the merged tables as JSON")
-    _add_campaign_flags(parser)
-    args = parser.parse_args(argv)
-
-    cells = build_sweep_cells(
-        args.workloads,
-        schemes=args.schemes,
-        seeds=args.seeds,
-        latency_scales=args.latency_scales,
-        paging=args.paging,
-        chaos=args.chaos,
-    )
-    result = _campaign_dispatch(args, cells, parser)
-    if isinstance(result, int):
-        return result
-    _report_campaign(result, fmt="{:.0f}")
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(
-                {group: table.to_dict()
-                 for group, table in result.tables.items()},
-                fh, indent=1, sort_keys=True,
-            )
-        print(f"wrote {args.json}")
-    return 0 if result.ok else 1
 
 
 def _chaos_soak(args, parser) -> int:
@@ -824,11 +740,6 @@ def _worker_main(argv) -> int:
         help="worker identity in leases/logs (default: host-pid)",
     )
     parser.add_argument(
-        "--backend", default="scalar", choices=["scalar", "vectorized"],
-        help="cell execution backend (same routing rules as the local "
-             "runner; docs/VECTORIZATION.md)",
-    )
-    parser.add_argument(
         "--poll-interval", type=float, default=0.25, metavar="S",
         help="idle back-off between lease attempts when every cell is "
              "leased elsewhere",
@@ -839,7 +750,6 @@ def _worker_main(argv) -> int:
             args.coordinator,
             workers=args.workers,
             name=args.name,
-            backend=args.backend,
             poll_interval=args.poll_interval,
         )
     except ValueError as exc:
@@ -1046,16 +956,10 @@ def main(argv=None) -> int:
         from .hotloop_bench import main as hotloop_main
 
         return hotloop_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _sweep_main(argv[1:])
     if argv and argv[0] == "figures":
         from .figures import main as figures_main
 
         return figures_main(argv[1:])
-    if argv and argv[0] == "campaign":
-        from .campaign_bench import main as campaign_main
-
-        return campaign_main(argv[1:])
     if argv and argv[0] == "serve":
         return _serve_main(argv[1:])
     if argv and argv[0] == "serve-bench":

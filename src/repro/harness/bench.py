@@ -1,13 +1,13 @@
-"""The measurement procedure shared by the four ``BENCH_*`` benchmarks.
+"""The measurement procedure shared by the three ``BENCH_*`` benchmarks.
 
-``hotloop`` (``BENCH_timing.json``), ``campaign`` (``BENCH_campaign.json``),
-``dist-bench`` (``BENCH_dist.json``) and ``serve-bench``
-(``BENCH_serve.json``) each own their case, the region they time and
-their print lines.  This module owns the rest: the calibration spin and
-the best-of-N normalized CPU measurement, where the records live and how
-they are written, the CI gate's tolerance band, and the command-line
-tail (``--repeats``, ``--update``, ``--json``).  docs/PERFORMANCE.md
-"Measuring" describes the procedure and tabulates the four records.
+``hotloop`` (``BENCH_timing.json``), ``dist-bench`` (``BENCH_dist.json``)
+and ``serve-bench`` (``BENCH_serve.json``) each own their case, the
+region they time and their print lines.  This module owns the rest: the
+calibration spin and the best-of-N normalized CPU measurement, where the
+records live and how they are written, the CI gate's tolerance band, and
+the command-line tail (``--repeats``, ``--update``, ``--json``).
+docs/PERFORMANCE.md
+"Measuring" describes the procedure and tabulates the three records.
 
 Only the standard library is imported here, so a benchmark command loads
 nothing beyond its own case.
@@ -74,10 +74,10 @@ def best_of(run: Callable[[], Any], repeats: int) -> Tuple[Dict, Any]:
     }, result
 
 
-def band(committed: float, floor: float = 0.0) -> Tuple[float, float]:
+def band(committed: float) -> Tuple[float, float]:
     """The CI gate's accepted range around a committed score:
-    ±:data:`GATE_TOLERANCE` of it, and at least ±``floor``."""
-    half = max(committed * GATE_TOLERANCE, floor)
+    ±:data:`GATE_TOLERANCE` of it."""
+    half = committed * GATE_TOLERANCE
     return committed - half, committed + half
 
 

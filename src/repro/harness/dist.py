@@ -73,6 +73,7 @@ from .distproto import (
 from .isolation import ExperimentFailure
 from .results import ExperimentTable
 from .runner import (
+    CAMPAIGN_COUNTER_LEAVES,
     CampaignCell,
     CampaignResult,
     CellOutcome,
@@ -80,7 +81,6 @@ from .runner import (
     TimeoutHistory,
     _default_echo,
     derive_adaptive_timeouts,
-    dispatch_backend,
     execute_cell,
     load_timeout_history,
     merge_outcomes,
@@ -101,7 +101,8 @@ EXIT_PROTOCOL = 2
 EXIT_COORDINATOR_LOST = 3
 
 #: every ``harness.dist.*`` rollup the coordinator maintains
-#: (docs/OBSERVABILITY.md documents each)
+#: (docs/OBSERVABILITY.md documents each; tools/check_doc_links.py
+#: parses this tuple)
 DIST_COUNTER_LEAVES = (
     "leases", "steals", "lease_expiries", "uploads", "upload_retries",
     "upload_dedup", "upload_conflicts", "upload_rejected", "heartbeats",
@@ -264,13 +265,8 @@ class CampaignCoordinator:
         self.counters = CounterRegistry()
         self.counters.metadata.update(
             campaign="harness", workers="dist", resume=resume,
-            backend="scalar",
         )
-        for leaf in (
-            "cells", "completed", "skipped", "failed", "attempts",
-            "retries", "backoff_seconds", "degraded", "vectorized",
-            "fallback", "torn", "adaptive_timeouts",
-        ):
+        for leaf in CAMPAIGN_COUNTER_LEAVES:
             self.counters.counter(f"harness.campaign.{leaf}")
         for leaf in DIST_COUNTER_LEAVES:
             self.counters.counter(f"harness.dist.{leaf}")
@@ -639,18 +635,14 @@ class DistWorker:
         *,
         workers: int = 1,
         name: Optional[str] = None,
-        backend: str = "scalar",
         poll_interval: float = 0.25,
         echo: Callable[[str], None] = _default_echo,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in ("scalar", "vectorized"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.url = coordinator.rstrip("/")
         self.workers = workers
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
-        self.backend = backend
         self.poll_interval = poll_interval
         self._echo = echo
         self._lock = threading.Lock()
@@ -736,9 +728,6 @@ class DistWorker:
 
     def _execute(self, cell: CampaignCell, adaptive: Optional[float],
                  cancel: threading.Event) -> CellOutcome:
-        kwargs = dict(cell.kwargs)
-        if self.backend == "vectorized":
-            kwargs, _leaf = dispatch_backend(cell, kwargs, self._echo)
         policy = ExecutionPolicy(
             timeout=self._policy.get("timeout"),
             adaptive_timeout=adaptive,
@@ -747,7 +736,7 @@ class DistWorker:
             backoff_cap=float(self._policy.get("backoff_cap", 30.0)),
             cancel=cancel,
         )
-        return execute_cell(cell, policy, kwargs)
+        return execute_cell(cell, policy)
 
     def _upload(self, outcome: CellOutcome) -> bool:
         payload = {

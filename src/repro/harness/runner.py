@@ -56,18 +56,6 @@ with worker count and placement.
 method, or a worker-pool setup failure, degrades to the serial
 single-supervisor path with a logged warning — the campaign completes
 either way (``harness.campaign.degraded`` records that it happened).
-
-**Backends.**  ``backend="vectorized"`` routes eligible cells to the
-numpy batch engine (:mod:`repro.batch`): batch-sweep cells whose spec
-passes :func:`repro.batch.spec.classify_cell` get ``backend`` injected
-into their kwargs at dispatch time, everything else — chaos hooks,
-unsupported schemes, cells that are not batch sweeps — falls back to
-the scalar engine with a logged reason.  The injection is *local* to
-the attempt: ``config_hash`` covers the cell's declared kwargs only, so
-checkpoints are shared across backends — justified because the two
-backends are digest-equivalent by contract (docs/VECTORIZATION.md).
-``harness.campaign.vectorized``/``harness.campaign.fallback`` count the
-routing decisions.
 """
 
 from __future__ import annotations
@@ -114,6 +102,14 @@ AUTO_WORKERS_CAP = 8
 #: timeout retry doubles the allowance, capped at the campaign timeout
 ADAPTIVE_TIMEOUT_FLOOR = 10.0
 ADAPTIVE_TIMEOUT_MARGIN = 4.0
+
+#: every ``harness.campaign.*`` counter the local runner and the
+#: distributed coordinator maintain (docs/OBSERVABILITY.md documents
+#: each; tools/check_doc_links.py parses this tuple)
+CAMPAIGN_COUNTER_LEAVES = (
+    "cells", "completed", "skipped", "failed", "attempts", "retries",
+    "backoff_seconds", "degraded", "torn", "adaptive_timeouts",
+)
 
 
 def _default_echo(message: str) -> None:
@@ -235,19 +231,13 @@ class ExecutionPolicy:
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
-def execute_cell(
-    cell: CampaignCell,
-    policy: ExecutionPolicy,
-    kwargs: Optional[Dict] = None,
-) -> CellOutcome:
+def execute_cell(cell: CampaignCell, policy: ExecutionPolicy) -> CellOutcome:
     """Run one cell to completion under ``policy``: crash-isolated
     attempts, transient retries with backoff, hang reseeding, adaptive
     timeout escalation.  Returns the outcome with its full attempt
-    ledger (never raises).  ``kwargs`` overrides the cell's declared
-    kwargs (the backend dispatcher injects ``backend`` this way without
-    touching the cell's config hash)."""
+    ledger (never raises)."""
     ledger: List[Dict] = []
-    kwargs = dict(cell.kwargs) if kwargs is None else dict(kwargs)
+    kwargs = dict(cell.kwargs)
     started = time.time()
     failure: Optional[ExperimentFailure] = None
     table: Optional[ExperimentTable] = None
@@ -314,35 +304,6 @@ def execute_cell(
         ledger=ledger,
         duration_s=time.time() - started,
     )
-
-
-def dispatch_backend(
-    cell: CampaignCell,
-    kwargs: Dict,
-    echo: Callable[[str], None] = _default_echo,
-) -> Tuple[Dict, str]:
-    """Route one cell under ``backend="vectorized"``; returns the
-    (possibly augmented) kwargs and the routing leaf (``"vectorized"``
-    or ``"fallback"``) for the caller's counters.
-
-    Eligible batch-sweep cells get ``backend`` injected into their
-    *local* kwargs (``config_hash`` is unchanged, so checkpoints stay
-    shared across backends — the backends are digest-equivalent by
-    contract); ineligible cells keep the scalar engine and the reason
-    is echoed once, per docs/VECTORIZATION.md.  The decision is a pure
-    function of the cell, so distributed workers route identically to
-    the serial runner.
-    """
-    from repro.batch.spec import classify_cell
-
-    ok, reason = classify_cell(cell.fn, kwargs)
-    if ok:
-        return {**kwargs, "backend": "vectorized"}, "vectorized"
-    echo(
-        f"[campaign] {cell.key}: vectorized backend ineligible "
-        f"({reason}); using scalar engine"
-    )
-    return kwargs, "fallback"
 
 
 def render_dry_run(
@@ -630,7 +591,6 @@ class CampaignRunner:
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
         keep_going: bool = True,
-        backend: str = "scalar",
         sleep: Callable[[float], None] = time.sleep,
         echo: Callable[[str], None] = _default_echo,
     ) -> None:
@@ -645,11 +605,6 @@ class CampaignRunner:
         workers = resolve_workers(workers, echo)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"unknown backend {backend!r} (scalar or vectorized)"
-            )
-        self.backend = backend
         self.cells = list(cells)
         self.workers = workers
         self.out_dir = out_dir
@@ -673,13 +628,8 @@ class CampaignRunner:
         self.counters = CounterRegistry()
         self.counters.metadata.update(
             campaign="harness", workers=workers, resume=resume,
-            backend=backend,
         )
-        for leaf in (
-            "cells", "completed", "skipped", "failed", "attempts",
-            "retries", "backoff_seconds", "degraded", "vectorized",
-            "fallback", "torn", "adaptive_timeouts",
-        ):
+        for leaf in CAMPAIGN_COUNTER_LEAVES:
             self.counters.counter(f"harness.campaign.{leaf}")
 
     # ------------------------------------------------------------------
@@ -739,14 +689,8 @@ class CampaignRunner:
     # ------------------------------------------------------------------
 
     def _run_cell(self, cell: CampaignCell) -> CellOutcome:
-        """Run one cell via the shared :func:`execute_cell` loop (backend
-        routing counted here; the loop itself is policy-driven so
-        distributed workers reuse it verbatim)."""
-        kwargs = dict(cell.kwargs)
-        if self.backend == "vectorized":
-            kwargs, leaf = dispatch_backend(cell, kwargs, self._echo)
-            with self._lock:
-                self.counters.counter(f"harness.campaign.{leaf}").add(1)
+        """Run one cell via the shared :func:`execute_cell` loop (policy-
+        driven, so distributed workers reuse it verbatim)."""
         policy = ExecutionPolicy(
             timeout=self.timeout,
             adaptive_timeout=self._cell_timeouts.get(cell.key),
@@ -755,7 +699,7 @@ class CampaignRunner:
             backoff_cap=self.backoff_cap,
             sleep=self._sleep,
         )
-        return execute_cell(cell, policy, kwargs)
+        return execute_cell(cell, policy)
 
     def _record(self, outcome: CellOutcome) -> None:
         """Book one finished cell: shared state, counters, checkpoint,

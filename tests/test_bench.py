@@ -5,15 +5,9 @@ docs/PERFORMANCE.md "Measuring" says it writes."""
 
 import pytest
 
-from repro.harness import (
-    bench,
-    campaign_bench,
-    dist_bench,
-    hotloop_bench,
-    serve_bench,
-)
+from repro.harness import bench, dist_bench, hotloop_bench, serve_bench
 
-MODULES = [hotloop_bench, campaign_bench, dist_bench, serve_bench]
+MODULES = [hotloop_bench, dist_bench, serve_bench]
 
 
 def _read(path) -> bytes:
@@ -73,4 +67,3 @@ def test_best_of_returns_the_normalized_best_and_last_result():
 
 def test_band():
     assert bench.band(8.0) == (6.0, 10.0)
-    assert bench.band(0.1, floor=0.05) == pytest.approx((0.05, 0.15))

@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.harness",
     "repro.telemetry",
     "repro.chaos",
-    "repro.batch",
 ]
 
 #: telemetry/chaos modules whose *entire* public surface (classes,

@@ -21,15 +21,21 @@ Three structural checks ride along:
   ``ALL_EXPERIMENTS`` keys) — no import, because the CI docs-link-check
   job installs no numpy.  When the source tree is absent the check is
   skipped;
-- **serve-counter validation** — every ``serve.*`` metric name in the
-  docs (code fences included) must exist in the authoritative manifest,
-  parsed textually from ``src/repro/serve/metrics.py`` (the
-  ``SERVE_COUNTERS`` tuple).  ``{a,b}`` shorthand is brace-expanded,
-  any ``[...]`` index normalizes to the manifest's ``[*]``, and both
-  ``prefix.*`` wildcards and bare namespace references (e.g.
-  ``serve.wire``) are accepted when the manifest has counters under
-  them.  A runtime test (tests/test_serve.py) keeps the manifest
-  itself honest against what the service actually registers.
+- **counter validation** — every name of a checked counter family in
+  the docs (code fences included) must exist in that family's
+  authoritative tuple, parsed textually from the source
+  (:data:`COUNTER_FAMILIES`: ``serve.*`` from ``SERVE_COUNTERS``,
+  ``harness.campaign.*`` from ``CAMPAIGN_COUNTER_LEAVES`` and
+  ``harness.dist.*`` from ``DIST_COUNTER_LEAVES``).  ``{a,b}``
+  shorthand is brace-expanded, any ``[...]`` index normalizes to the
+  manifest's ``[*]``, and both ``prefix.*`` wildcards and bare
+  namespace references (e.g. ``serve.wire``) are accepted when the
+  family has counters under them.  Other dotted names, such as the
+  benchmark's per-layer metrics (``harness.isolation.fork_ms.p50``),
+  are not counters and are not checked.  A runtime test
+  (tests/test_serve.py) keeps the serve manifest itself honest against
+  what the service actually registers; the harness registries are
+  built from their tuples.
 
 Run:  python tools/check_doc_links.py [repo-root]
 Exits nonzero listing every broken link.  CI runs this on each push
@@ -164,27 +170,38 @@ def check_harness_commands(md, known):
             yield m.group(0), f"unknown harness subcommand {token!r}"
 
 
-#: a ``serve.*`` counter name in prose or a code fence; the lookbehind
-#: keeps module paths (``repro.serve.core``) and filesystem paths
-#: (``/tmp/serve.sock``) from matching
-SERVE_COUNTER_RE = re.compile(r"(?<![\w./])serve\.[\w.\[\]{},*\-]+")
+#: the checked counter families: the name prefix, the source file under
+#: ``src/repro`` and the tuple there that lists the family.  Entries of a
+#: ``*_LEAVES`` tuple are relative to the prefix; ``SERVE_COUNTERS``
+#: lists full names.
+COUNTER_FAMILIES = (
+    ("serve", "serve/metrics.py", "SERVE_COUNTERS"),
+    ("harness.campaign", "harness/runner.py", "CAMPAIGN_COUNTER_LEAVES"),
+    ("harness.dist", "harness/dist.py", "DIST_COUNTER_LEAVES"),
+)
 
 
-def known_serve_counters(root):
-    """The authoritative ``serve.*`` counter names, parsed textually
-    from the ``SERVE_COUNTERS`` tuple in ``src/repro/serve/metrics.py``
-    (no import — same constraint as :func:`known_subcommands`).
-    Returns ``None`` when the manifest is absent, meaning "skip"."""
-    metrics_py = root / "src" / "repro" / "serve" / "metrics.py"
-    if not metrics_py.exists():
-        return None
-    # span to the closing paren at line start: inline comments inside
-    # the tuple may themselves contain parentheses
-    m = re.search(r"SERVE_COUNTERS\s*=\s*\((.*?)\n\)",
-                  metrics_py.read_text(encoding="utf-8"), re.S)
-    if not m:
-        return None
-    return set(re.findall(r"\"(serve\.[^\"]+)\"", m.group(1)))
+def known_counters(root):
+    """The authoritative names of every counter family whose tuple is
+    present, as ``{prefix: names}``, parsed textually (no import — same
+    constraint as :func:`known_subcommands`).  A family whose source
+    file or tuple is absent is left out, meaning "skip it"."""
+    families = {}
+    for prefix, rel, tuple_name in COUNTER_FAMILIES:
+        path = root / "src" / "repro" / rel
+        if not path.exists():
+            continue
+        # span to the closing paren at line start: inline comments inside
+        # the tuple may themselves contain parentheses
+        m = re.search(rf"{tuple_name}\s*=\s*\((.*?)\n\)",
+                      path.read_text(encoding="utf-8"), re.S)
+        if not m:
+            continue
+        families[prefix] = {
+            name if name.startswith(prefix + ".") else f"{prefix}.{name}"
+            for name in re.findall(r"\"([^\"]+)\"", m.group(1))
+        }
+    return families
 
 
 def _expand_braces(token):
@@ -200,14 +217,21 @@ def _expand_braces(token):
     return out
 
 
-def check_serve_counters(md, known):
-    """Yield ``(snippet, reason)`` for every documented ``serve.*``
-    counter the manifest doesn't know.  Runs on the *raw* text —
-    counter names live inside code fences and tables.  A ``prefix.*``
-    wildcard or a bare namespace (``serve.tenant[t]``) passes when the
-    manifest has counters beneath it."""
+def check_counters(md, families):
+    """Yield ``(snippet, reason)`` for every documented counter of a
+    known family (:func:`known_counters`) that its tuple doesn't list.
+    Runs on the *raw* text — counter names live inside code fences and
+    tables.  A ``prefix.*`` wildcard or a bare namespace
+    (``serve.tenant[t]``) passes when the family has counters beneath
+    it."""
+    known = set().union(*families.values())
+    # a name under one of the families, in prose or a code fence; the
+    # lookbehind keeps module paths (``repro.serve.core``) and
+    # filesystem paths (``/tmp/serve.sock``) from matching
+    prefixes = "|".join(re.escape(prefix) for prefix in families)
+    name_re = re.compile(rf"(?<![\w./])(?:{prefixes})\.[\w.\[\]{{}},*\-]+")
     text = md.read_text(encoding="utf-8")
-    for m in SERVE_COUNTER_RE.finditer(text):
+    for m in name_re.finditer(text):
         raw = m.group(0).rstrip(".,;:`")
         for token in _expand_braces(raw):
             # any concrete index ([t], [storm]) means the per-tenant
@@ -219,7 +243,7 @@ def check_serve_counters(md, known):
             if any(k.startswith(prefix + ".") or k == prefix
                    for k in known):
                 continue
-            yield raw, f"unknown serve counter {token!r}"
+            yield raw, f"unknown counter {token!r}"
 
 
 def reachable_from_readme(root):
@@ -263,7 +287,7 @@ def main(argv=None):
         files.extend(sorted(root.glob(pattern)))
     broken = 0
     known = known_subcommands(root)
-    counters = known_serve_counters(root)
+    counters = known_counters(root)
     for md in files:
         for target, reason in check_file(md, root):
             print(f"{md.relative_to(root)}: [{target}] -> {reason}")
@@ -272,8 +296,8 @@ def main(argv=None):
             for snippet, reason in check_harness_commands(md, known):
                 print(f"{md.relative_to(root)}: [{snippet}] -> {reason}")
                 broken += 1
-        if counters is not None:
-            for snippet, reason in check_serve_counters(md, counters):
+        if counters:
+            for snippet, reason in check_counters(md, counters):
                 print(f"{md.relative_to(root)}: [{snippet}] -> {reason}")
                 broken += 1
     for md in orphaned_docs(root):
