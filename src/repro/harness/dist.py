@@ -1,21 +1,22 @@
 """Distributed campaign execution: work-stealing coordinator + workers.
 
-The PR 3 campaign runner shards a matrix across local supervisor
-threads; this module generalizes the same supervisor/checkpoint
-protocol across *machines* while keeping every determinism guarantee:
+The local campaign runner drives a :class:`repro.harness.runner.Campaign`
+from supervisor threads; this module drives the *same* campaign object
+across machines while keeping every determinism guarantee:
 
 **Coordinator** (:class:`CampaignCoordinator`).  A dumb HTTP server
 (stdlib ``http.server``, JSON bodies — :mod:`repro.harness.distproto`)
-that owns the cell matrix and the campaign directory.  It runs no cells
-itself; it leases cells to workers **in canonical cell order**, extends
-leases on heartbeats, re-leases (steals) cells whose lease expired — a
-wedged or dead worker delays only its own cells — and persists
-validated checkpoint uploads through the same
-:mod:`repro.harness.store` layer the local runner writes through.  The
-campaign directory *is* the local runner's checkpoint store, so
-``--resume`` restores a half-finished distributed campaign (same torn-
-write corroboration), a serial run can finish a campaign a fleet
-started, and vice versa.
+in front of one ``Campaign``, which owns the cell matrix, the campaign
+directory, the counters, resume and the merge.  The coordinator runs no
+cells itself and keeps only what a fleet adds: the HTTP surface, lease
+expiry (workers heartbeat to extend their leases; the campaign re-leases
+— steals — a cell whose lease expired, so a wedged or dead worker delays
+only its own cells), upload validation and result-hash dedup.  Because
+booking, checkpointing and resume are the campaign's, the campaign
+directory *is* the local runner's checkpoint store: ``--resume``
+restores a half-finished distributed campaign (same torn-write
+corroboration), a serial run can finish a campaign a fleet started, and
+vice versa.
 
 **Worker** (:class:`DistWorker`, ``python -m repro.harness worker
 --coordinator URL``).  N of today's supervisors pointed at a remote
@@ -32,15 +33,15 @@ never wedge a fleet.
 
 **Determinism.**  Cells are keyed by the existing config hash; uploads
 are validated with the same :func:`repro.harness.store.validate_checkpoint`
-the local resume path trusts; duplicate uploads after a lease steal are
-deduplicated by :func:`repro.harness.store.result_hash` (status+table
+the local resume path trusts, and a malformed request gets a 400
+instead of a dropped connection; duplicate uploads after a lease steal
+are deduplicated by :func:`repro.harness.store.result_hash` (status+table
 only — durations legitimately differ), and a *mismatched* duplicate is
 a determinism violation: counted (``harness.dist.upload_conflicts``),
 rejected with 409, first write wins.  The merged ``tables.json`` and
-``counters.json`` are assembled by the shared
-:func:`repro.harness.runner.merge_outcomes` in canonical cell order, so
-any worker count on any number of machines is byte-identical to the
-serial runner (``ops_counters.json`` carries the run-shape
+``counters.json`` come from the campaign's own merge in canonical cell
+order, so any worker count on any number of machines is byte-identical
+to the serial runner (``ops_counters.json`` carries the run-shape
 ``harness.campaign.*``/``harness.dist.*`` counters that legitimately
 differ).  See docs/ROBUSTNESS.md for the protocol and failure modes.
 """
@@ -57,8 +58,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.telemetry.counters import CounterRegistry, merge_dumps
-
 from . import store
 from .distproto import (
     PROTOCOL_VERSION,
@@ -70,21 +69,15 @@ from .distproto import (
     post_json,
     read_request_json,
 )
-from .isolation import ExperimentFailure
-from .results import ExperimentTable
 from .runner import (
-    CAMPAIGN_COUNTER_LEAVES,
+    Campaign,
     CampaignCell,
     CampaignResult,
     CellOutcome,
     ExecutionPolicy,
-    TimeoutHistory,
     _default_echo,
-    derive_adaptive_timeouts,
     execute_cell,
-    load_timeout_history,
-    merge_outcomes,
-    restore_outcome,
+    outcome_from_checkpoint,
 )
 
 #: default lease duration; a worker heartbeats at a third of this, so a
@@ -108,48 +101,6 @@ DIST_COUNTER_LEAVES = (
     "upload_dedup", "upload_conflicts", "upload_rejected", "heartbeats",
     "workers",
 )
-
-
-def outcome_from_checkpoint(cell: CampaignCell, data: Dict) -> CellOutcome:
-    """Rehydrate a validated checkpoint payload (an upload, or a file
-    restored from disk) into the outcome the local runner would have
-    produced."""
-    if data["status"] == "ok":
-        table: Optional[ExperimentTable] = (
-            ExperimentTable.from_dict(data["table"])
-        )
-        failure: Optional[ExperimentFailure] = None
-    else:
-        table = None
-        rec = data["failure"]
-        failure = ExperimentFailure(
-            name=cell.key,
-            kind=rec.get("kind", "Unknown"),
-            message=rec.get("message", ""),
-            traceback_text=rec.get("traceback", "") or "",
-            attempts=int(rec.get("attempts", 1)),
-            kwargs=dict(cell.kwargs),
-        )
-    return CellOutcome(
-        cell=cell,
-        table=table,
-        failure=failure,
-        ledger=list(data.get("ledger", [])),
-        duration_s=float(data.get("duration_s", 0.0)),
-    )
-
-
-class _CellState:
-    """Coordinator-side bookkeeping for one cell."""
-
-    __slots__ = ("cell", "status", "worker", "expiry", "result_hash")
-
-    def __init__(self, cell: CampaignCell) -> None:
-        self.cell = cell
-        self.status = "pending"  # pending | leased | done
-        self.worker: Optional[str] = None
-        self.expiry: Optional[float] = None
-        self.result_hash: Optional[str] = None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -185,27 +136,30 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             self._reply(400, {"error": "malformed JSON request body"})
             return
+        worker = str(body.get("worker"))
         if self.path == "/lease":
-            self._reply(200, self.coord.lease(str(body.get("worker"))))
+            self._reply(200, self.coord.lease(worker))
         elif self.path == "/heartbeat":
-            self._reply(200, self.coord.heartbeat(
-                str(body.get("worker")), list(body.get("keys") or [])
-            ))
+            keys = body.get("keys") or []
+            if isinstance(keys, list) and all(isinstance(k, str)
+                                              for k in keys):
+                self._reply(200, self.coord.heartbeat(worker, keys))
+            else:
+                self._reply(400, {"error": "keys must be a list of cell keys"})
         elif self.path == "/upload":
-            status, payload = self.coord.upload(
-                str(body.get("worker")),
-                body.get("checkpoint"),
-                int(body.get("upload_attempt", 1)),
-            )
-            self._reply(status, payload)
+            self._reply(*self.coord.upload(
+                worker, body.get("checkpoint"),
+                body.get("upload_attempt", 1),
+            ))
         else:
             self._reply(404, {"error": f"unknown path {self.path}"})
 
 
 class CampaignCoordinator:
-    """Owns a campaign matrix and serves it to workers (module
-    docstring).  ``run()`` blocks until the matrix completes and returns
-    the same :class:`CampaignResult` the local runner would."""
+    """Serves one :class:`repro.harness.runner.Campaign` to remote
+    workers (module docstring).  ``run()`` blocks until the matrix
+    completes and returns the same :class:`CampaignResult` the local
+    runner would."""
 
     def __init__(
         self,
@@ -223,10 +177,6 @@ class CampaignCoordinator:
         port: int = 0,
         echo: Callable[[str], None] = _default_echo,
     ) -> None:
-        keys = [cell.key for cell in cells]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValueError(f"duplicate cell keys: {dupes}")
         if out_dir is None:
             raise ValueError(
                 "the coordinator requires an out_dir: the campaign "
@@ -234,312 +184,184 @@ class CampaignCoordinator:
             )
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be > 0")
-        self.cells = list(cells)
+        self.campaign = Campaign(
+            cells, out_dir=out_dir, resume=resume, timeout=timeout,
+            adaptive_timeout=adaptive_timeout, workers="dist", echo=echo,
+        )
+        self.cells = self.campaign.cells
         self.out_dir = out_dir
-        self.resume = resume
-        self.timeout = timeout
-        self.adaptive_timeout = adaptive_timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+        self.counters = self.campaign.counters
+        for leaf in DIST_COUNTER_LEAVES:
+            self.counters.counter(f"harness.dist.{leaf}")
+        self.policy = ExecutionPolicy(
+            timeout=timeout, max_attempts=max_attempts,
+            backoff_base=backoff_base, backoff_cap=backoff_cap,
+        )
         self.lease_seconds = lease_seconds
         self.host = host
         self.port = port
         self._echo = echo
         self._lock = threading.Lock()
-        self._complete = threading.Event()
-        self._states: Dict[str, _CellState] = {
-            cell.key: _CellState(cell) for cell in self.cells
-        }
-        self._outcomes: Dict[str, CellOutcome] = {}
+        self._by_key = {cell.key: cell for cell in self.cells}
         self._workers: set = set()
         #: workers that have been *told* the matrix is done (via /lease
         #: or /heartbeat) — run() keeps serving until this covers
         #: _workers, so fleet workers exit 0 instead of mistaking the
         #: natural end of the campaign for a coordinator crash
         self._done_acked: set = set()
-        self._history = TimeoutHistory()
-        self._cell_timeouts: Dict[str, float] = {}
         self._server: Optional[ThreadingHTTPServer] = None
         self.url: Optional[str] = None
-        self.counters = CounterRegistry()
-        self.counters.metadata.update(
-            campaign="harness", workers="dist", resume=resume,
-        )
-        for leaf in CAMPAIGN_COUNTER_LEAVES:
-            self.counters.counter(f"harness.campaign.{leaf}")
-        for leaf in DIST_COUNTER_LEAVES:
-            self.counters.counter(f"harness.dist.{leaf}")
 
     # -- request handlers (called from server threads) ---------------------
 
     def describe(self) -> Dict:
         """``GET /campaign``: the handshake payload."""
-        with self._lock:
-            return {
-                "protocol": PROTOCOL_VERSION,
-                "lease_seconds": self.lease_seconds,
-                "policy": {
-                    "timeout": self.timeout,
-                    "max_attempts": self.max_attempts,
-                    "backoff_base": self.backoff_base,
-                    "backoff_cap": self.backoff_cap,
-                },
-                "cells": len(self.cells),
-                "done": len(self._outcomes),
-            }
+        return {
+            "protocol": PROTOCOL_VERSION,
+            "lease_seconds": self.lease_seconds,
+            "policy": {
+                name: getattr(self.policy, name) for name in
+                ("timeout", "max_attempts", "backoff_base", "backoff_cap")
+            },
+            "cells": len(self.cells),
+            "done": len(self.campaign.outcomes),
+        }
 
     def status(self) -> Dict:
         """``GET /status``: progress snapshot."""
-        with self._lock:
-            by_status: Dict[str, int] = {
-                "pending": 0, "leased": 0, "done": 0
-            }
-            for state in self._states.values():
-                by_status[state.status] += 1
-            return {
-                "protocol": PROTOCOL_VERSION,
-                "complete": self._complete.is_set(),
-                **by_status,
-            }
+        with self.campaign.lock:
+            done = len(self.campaign.outcomes)
+            leased = len(self.campaign.leases)
+        return {
+            "protocol": PROTOCOL_VERSION,
+            "complete": self.campaign.finished.is_set(),
+            "pending": len(self.cells) - done - leased,
+            "leased": leased,
+            "done": done,
+        }
 
     def lease(self, worker: str) -> Dict:
         """``POST /lease``: hand out the next cell in canonical order —
         first pending cell, else the first leased cell whose lease
         expired (a steal)."""
-        now = time.monotonic()
         with self._lock:
             if worker not in self._workers:
                 self._workers.add(worker)
                 self.counters.counter("harness.dist.workers").add(1)
-            pending: Optional[_CellState] = None
-            expired: Optional[_CellState] = None
-            for cell in self.cells:
-                state = self._states[cell.key]
-                if state.status == "pending":
-                    pending = state
-                    break
-                if (
-                    state.status == "leased"
-                    and state.expiry is not None
-                    and now >= state.expiry
-                    and expired is None
-                ):
-                    expired = state
-                    # keep scanning: a pending cell still wins, so the
-                    # steal is the *fallback* in canonical order
-            chosen = pending if pending is not None else expired
-            stolen = pending is None and expired is not None
-            if chosen is None:
-                if all(
-                    s.status == "done" for s in self._states.values()
-                ):
+            leased = self.campaign.lease(worker, self.lease_seconds)
+            if leased is None:
+                if self.campaign.finished.is_set():
                     self._done_acked.add(worker)
                     return {"done": True}
                 return {"wait": True, "retry_after": 0.5}
-            if stolen:
+            cell, stolen_from = leased
+            if stolen_from is not None:
                 self.counters.counter("harness.dist.steals").add(1)
                 self.counters.counter("harness.dist.lease_expiries").add(1)
                 self._echo(
-                    f"[dist] {chosen.cell.key}: lease expired on "
-                    f"{chosen.worker!r}, re-leased to {worker!r}"
+                    f"[dist] {cell.key}: lease expired on "
+                    f"{stolen_from!r}, re-leased to {worker!r}"
                 )
-            chosen.status = "leased"
-            chosen.worker = worker
-            chosen.expiry = now + self.lease_seconds
             self.counters.counter("harness.dist.leases").add(1)
-            response = {
-                "cell": cell_to_wire(chosen.cell),
-                "lease_seconds": self.lease_seconds,
-            }
-            hint = self._cell_timeouts.get(chosen.cell.key)
-            if hint is not None:
-                response["adaptive_timeout"] = hint
-            return response
+        response = {
+            "cell": cell_to_wire(cell),
+            "lease_seconds": self.lease_seconds,
+        }
+        hint = self.campaign.timeouts.get(cell.key)
+        if hint is not None:
+            response["adaptive_timeout"] = hint
+        return response
 
     def heartbeat(self, worker: str, keys: List[str]) -> Dict:
         """``POST /heartbeat``: extend the worker's live leases; the
         response lists the keys it still holds (a missing key was
         stolen — the worker cancels that cell)."""
-        now = time.monotonic()
+        expiry = time.monotonic() + self.lease_seconds
         held: List[str] = []
+        with self.campaign.lock:
+            for key in keys:
+                lease = self.campaign.leases.get(key)
+                if lease is not None and lease[0] == worker:
+                    lease[1] = expiry
+                    held.append(key)
+        done = self.campaign.finished.is_set()
         with self._lock:
             self.counters.counter("harness.dist.heartbeats").add(1)
-            for key in keys:
-                state = self._states.get(key)
-                if (
-                    state is not None
-                    and state.status == "leased"
-                    and state.worker == worker
-                ):
-                    state.expiry = now + self.lease_seconds
-                    held.append(key)
-            done = self._complete.is_set()
             if done:
                 self._done_acked.add(worker)
-            return {"keys": held, "done": done}
+        return {"keys": held, "done": done}
 
-    def upload(self, worker, data, upload_attempt: int = 1):
-        """``POST /upload``: validate and persist one finished cell;
-        returns ``(http_status, payload)``.  Duplicates after a steal
-        dedupe by result hash; mismatched duplicates are determinism
-        violations (409, first write wins)."""
-        if not isinstance(data, dict) or "key" not in data:
-            with self._lock:
-                self.counters.counter("harness.dist.upload_rejected").add(1)
-            return 400, {"error": "malformed checkpoint payload"}
-        key = data.get("key")
-        state = self._states.get(key)
-        if state is None:
-            with self._lock:
-                self.counters.counter("harness.dist.upload_rejected").add(1)
-            return 400, {"error": f"unknown cell {key!r}"}
-        cell = state.cell
-        problem = store.validate_checkpoint(data, cell.key,
-                                            cell.config_hash())
+    def upload(self, worker, data, upload_attempt=1):
+        """``POST /upload``: validate one finished cell and complete it
+        on the campaign; returns ``(http_status, payload)``.  Duplicates
+        after a steal dedupe by result hash; mismatched duplicates are
+        determinism violations (409, first write wins)."""
+        key = data.get("key") if isinstance(data, dict) else None
+        if not isinstance(upload_attempt, int):
+            problem = f"upload_attempt {upload_attempt!r} is not an integer"
+        elif not isinstance(key, str):
+            problem = "malformed checkpoint payload"
+        elif key not in self._by_key:
+            problem = f"unknown cell {key!r}"
+        else:
+            cell = self._by_key[key]
+            problem = store.validate_checkpoint(data, key, cell.config_hash())
         if problem is not None:
             with self._lock:
                 self.counters.counter("harness.dist.upload_rejected").add(1)
-            self._echo(f"[dist] {key}: rejected upload from "
-                       f"{worker!r} ({problem})")
+            self._echo(f"[dist] rejected upload from {worker!r} ({problem})")
             return 400, {"error": problem}
-        rhash = store.result_hash(data)
+        outcome = outcome_from_checkpoint(cell, data)
         with self._lock:
             self.counters.counter("harness.dist.uploads").add(1)
             self.counters.counter("harness.dist.upload_retries").add(
                 max(0, upload_attempt - 1)
             )
-            if state.status == "done":
-                if state.result_hash == rhash:
-                    self.counters.counter("harness.dist.upload_dedup").add(1)
-                    self._echo(
-                        f"[dist] {key}: duplicate upload from {worker!r} "
-                        "deduplicated (result hashes match)"
-                    )
-                    return 200, {"ok": True, "dedup": True}
-                self.counters.counter(
-                    "harness.dist.upload_conflicts"
-                ).add(1)
+            # Persisted verbatim: the file is byte-compatible with a
+            # locally written checkpoint (resume works across machines
+            # and run modes).
+            if self.campaign.complete(outcome, checkpoint=data):
+                return 200, {"ok": True, "dedup": False}
+            # Both sides hash their rebuilt checkpoint, so a restored
+            # cell compares the same way as an uploaded one.
+            kept, rhash = (
+                store.result_hash(store.build_checkpoint(o))
+                for o in (self.campaign.outcomes[key], outcome)
+            )
+            if kept == rhash:
+                self.counters.counter("harness.dist.upload_dedup").add(1)
                 self._echo(
-                    f"[dist] {key}: CONFLICTING duplicate upload from "
-                    f"{worker!r} — determinism violation (kept the "
-                    "first result)"
+                    f"[dist] {key}: duplicate upload from {worker!r} "
+                    "deduplicated (result hashes match)"
                 )
-                return 409, {"error": "result hash conflict",
-                             "kept": state.result_hash, "got": rhash}
-            outcome = outcome_from_checkpoint(cell, data)
-            # Persist the upload verbatim through the shared store: the
-            # file is byte-compatible with a locally written checkpoint
-            # (resume works across machines and run modes).
-            store.write_json(
-                store.checkpoint_path(self.out_dir, cell.key,
-                                      cell.config_hash()),
-                data, compress=True,
-            )
-            state.status = "done"
-            state.worker = worker
-            state.result_hash = rhash
-            self._outcomes[cell.key] = outcome
-            self._book(outcome)
-            if outcome.ok:
-                self._history.record(cell, outcome.duration_s)
-            self._write_manifest_locked()
-            remaining = sum(
-                1 for s in self._states.values() if s.status != "done"
-            )
-            self._echo(
-                f"[dist] {key}: "
-                + ("ok" if outcome.ok else
-                   f"FAILED ({outcome.failure.kind})")
-                + f" from {worker!r} ({remaining} cell(s) remaining)"
-            )
-            if remaining == 0:
-                self._complete.set()
-        return 200, {"ok": True, "dedup": False}
-
-    def _book(self, outcome: CellOutcome) -> None:
-        """Mirror the local runner's campaign counters (lock held)."""
-        ctr = self.counters.counter
-        ctr("harness.campaign.attempts").add(len(outcome.ledger))
-        ctr("harness.campaign.retries").add(
-            max(0, len(outcome.ledger) - 1)
+                return 200, {"ok": True, "dedup": True}
+            self.counters.counter("harness.dist.upload_conflicts").add(1)
+        self._echo(
+            f"[dist] {key}: CONFLICTING duplicate upload from {worker!r} "
+            "— determinism violation (kept the first result)"
         )
-        ctr("harness.campaign.backoff_seconds").add(
-            sum(e.get("backoff_s", 0.0) for e in outcome.ledger)
-        )
-        if outcome.restored:
-            ctr("harness.campaign.skipped").add(1)
-        elif outcome.ok:
-            ctr("harness.campaign.completed").add(1)
-        else:
-            ctr("harness.campaign.failed").add(1)
-
-    def _write_manifest_locked(self) -> Optional[str]:
-        payload = store.manifest_payload(
-            self.cells, self._outcomes, out_dir=self.out_dir,
-            workers=f"dist:{len(self._workers)}", degraded=False,
-            resume=self.resume,
-            extra={"coordinator": {"url": self.url,
-                                   "protocol": PROTOCOL_VERSION}},
-        )
-        path = store.manifest_path(self.out_dir)
-        store.write_json(path, payload)
-        return path
+        return 409, {"error": "result hash conflict", "kept": kept,
+                     "got": rhash}
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> str:
-        """Bind the server, restore checkpoints (``resume``), write
-        ``coordinator.json`` and start serving in background threads;
-        returns the coordinator URL."""
-        self.counters.counter("harness.campaign.cells").add(len(self.cells))
-        if self.adaptive_timeout:
-            self._cell_timeouts = derive_adaptive_timeouts(
-                self.cells, load_timeout_history(self.out_dir),
-                timeout=self.timeout,
-            )
-            if self._cell_timeouts:
-                self.counters.counter(
-                    "harness.campaign.adaptive_timeouts"
-                ).add(len(self._cell_timeouts))
-        if self.resume:
-            manifest = store.load_manifest_entries(self.out_dir)
-            for cell in self.cells:
-                outcome, torn = restore_outcome(
-                    cell, self.out_dir, manifest
-                )
-                if torn:
-                    self.counters.counter("harness.campaign.torn").add(1)
-                    self._echo(
-                        f"[dist] {cell.key}: checkpoint not corroborated "
-                        "by the manifest (torn write); re-running"
-                    )
-                if outcome is None:
-                    continue
-                state = self._states[cell.key]
-                state.status = "done"
-                state.result_hash = store.result_hash(
-                    store.build_checkpoint(outcome)
-                )
-                self._outcomes[cell.key] = outcome
-                self._book(outcome)
-                self._echo(f"[dist] {cell.key}: restored from checkpoint")
-            if len(self._outcomes) == len(self.cells):
-                self._complete.set()
+        """Bind the server, open the campaign (restoring checkpoints on
+        ``resume``), write ``coordinator.json`` and start serving in
+        background threads; returns the coordinator URL."""
         server = ThreadingHTTPServer((self.host, self.port), _Handler)
         server.coordinator = self  # type: ignore[attr-defined]
         server.daemon_threads = True
         self._server = server
         self.port = server.server_address[1]
         self.url = f"http://{self.host}:{self.port}"
+        self.campaign.open()
         store.write_json(
             os.path.join(self.out_dir, "coordinator.json"),
             {"url": self.url, "pid": os.getpid(),
              "protocol": PROTOCOL_VERSION,
              "lease_seconds": self.lease_seconds},
         )
-        with self._lock:
-            self._write_manifest_locked()
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.1},
             name="dist-coordinator", daemon=True,
@@ -547,13 +369,13 @@ class CampaignCoordinator:
         thread.start()
         self._echo(
             f"[dist] coordinator serving {len(self.cells)} cell(s) at "
-            f"{self.url} ({len(self._outcomes)} restored)"
+            f"{self.url} ({len(self.campaign.outcomes)} restored)"
         )
         return self.url
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the matrix completes (True) or ``timeout``."""
-        return self._complete.wait(timeout)
+        return self.campaign.finished.wait(timeout)
 
     def linger(self, timeout: Optional[float] = None) -> None:
         """After completion, keep serving until every worker that ever
@@ -579,36 +401,10 @@ class CampaignCoordinator:
             server.server_close()
 
     def collect(self) -> CampaignResult:
-        """Assemble the final result exactly like the local runner's
-        ``_collect`` — shared merge, shared artifact writer — so the
-        deterministic artifacts are byte-identical to a serial run."""
-        with self._lock:
-            outcomes = dict(self._outcomes)
-            manifest_path = self._write_manifest_locked()
-            ops_dump = self.counters.to_dict()
-        merged = merge_outcomes(self.cells, outcomes)
-        cell_dumps = merged["cell_dumps"]
-        counters = merge_dumps([ops_dump] + cell_dumps)
-        self._history.flush(self.out_dir)
-        paths = store.write_merge_artifacts(
-            self.out_dir, merged["tables"], cell_dumps, [ops_dump]
-        )
-        return CampaignResult(
-            tables=merged["tables"],
-            failures=merged["failures"],
-            completed=merged["completed"],
-            skipped=merged["skipped"],
-            failed=merged["failed"],
-            not_run=merged["not_run"],
-            group_seconds=merged["group_seconds"],
-            degraded=False,
-            counters=counters,
-            failed_groups=merged["failed_groups"],
-            manifest_path=manifest_path,
-            counters_path=paths["counters"],
-            ops_counters_path=paths["ops_counters"],
-            tables_path=paths["tables"],
-        )
+        """The campaign's merged result — the local runner's merge, so
+        the deterministic artifacts are byte-identical to a serial
+        run."""
+        return self.campaign.collect()
 
     def run(self, wait_timeout: Optional[float] = None) -> CampaignResult:
         """Serve until the matrix completes, then merge and return."""

@@ -20,9 +20,9 @@ matrix completion, best of ``--repeats`` per mode.  docs/PERFORMANCE.md
 sleep.  The synthetic runs are identity-checked on every repeat too.
 
 ``--smoke`` runs a small chaos matrix (serial vs 2-worker fleet),
-asserts byte-identity and clean worker exits, and skips the timing
-gate — CI machines are too noisy for wall-clock assertions outside the
-dedicated perf-guard job.
+asserts byte-identity, equal ``harness.campaign.*`` counters and clean
+worker exits, and skips the timing gate — CI machines are too noisy for
+wall-clock assertions outside the dedicated perf-guard job.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional
 
-from . import bench
+from . import bench, store
 from .dist import CampaignCoordinator, spawn_worker
 from .results import ExperimentTable
 
@@ -200,6 +200,18 @@ def check_identity(dirs: Dict[str, str]) -> None:
                 )
 
 
+def campaign_counters(out_dir: str) -> Dict[str, float]:
+    """The ``harness.campaign.*`` counters a finished campaign booked in
+    its ``ops_counters.json``: run-shape counters, so outside
+    :func:`check_identity` (which the ``BENCH_dist`` gate also uses),
+    but the serial runner and a fleet must book them alike."""
+    counters = store.read_json(
+        os.path.join(out_dir, "ops_counters.json")
+    )["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith("harness.campaign.")}
+
+
 def _fresh_dirs(base: str, tag: str, modes) -> Dict[str, str]:
     dirs = {mode: os.path.join(base, f"{tag}-{mode}") for mode in modes}
     for path in dirs.values():
@@ -267,8 +279,8 @@ def measure(repeats: int = 1, case: Optional[Dict] = None,
 
 
 def smoke(out_dir: Optional[str] = None, echo=print) -> int:
-    """The CI smoke: serial vs 2-worker fleet on a small chaos matrix,
-    byte-identity and clean exits asserted, no timing gate."""
+    """The CI smoke: serial vs 2-worker fleet on a small chaos matrix;
+    identity, campaign counters and clean exits asserted, no timing gate."""
     cells = build_chaos_cells_for(SMOKE_CASE)
     base = out_dir or tempfile.mkdtemp(prefix="dist-smoke-")
     os.makedirs(base, exist_ok=True)
@@ -278,8 +290,16 @@ def smoke(out_dir: Optional[str] = None, echo=print) -> int:
     serial_s = run_serial(cells, dirs["serial"])
     dist_s = run_dist(cells, dirs["dist2"], 2)
     check_identity(dirs)
+    serial, fleet = (campaign_counters(dirs[m]) for m in ("serial", "dist2"))
+    for name in sorted(set(serial) | set(fleet)):
+        if serial.get(name) != fleet.get(name):
+            raise RuntimeError(
+                f"campaign counter {name} differs: {serial.get(name)} "
+                f"serial, {fleet.get(name)} 2-worker fleet"
+            )
     echo(f"[dist-smoke] serial {serial_s:.2f}s, 2-worker fleet "
-         f"{dist_s:.2f}s; tables.json and counters.json byte-identical")
+         f"{dist_s:.2f}s; tables.json and counters.json byte-identical, "
+         "harness.campaign.* counters equal")
     return 0
 
 

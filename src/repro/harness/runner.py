@@ -1,4 +1,4 @@
-"""Fault-tolerant parallel campaign runner.
+"""Fault-tolerant parallel campaign engine: one campaign, two drivers.
 
 ``python -m repro.harness all`` is a *campaign*: a cross-product of
 independent experiment shards (one simulation sweep per workload per
@@ -6,10 +6,20 @@ figure).  This module executes such a campaign the way a production
 fleet would — sharded, checkpointed, retried, and degradable — instead
 of as one long serial loop that loses everything on the first wedge:
 
+**One engine, two drivers.**  :class:`Campaign` owns the state of a run:
+the cells in canonical order, their leases and outcomes, the
+``harness.campaign.*`` counters, the manifest, resume, adaptive timeouts
+and the merge.  A driver opens it, leases cells from it, runs each
+through :func:`execute_cell`, completes the outcome and finally collects
+the merged result.  :class:`CampaignRunner` drives it from local
+supervisor threads; :class:`repro.harness.dist.CampaignCoordinator`
+drives the same object from HTTP handlers on behalf of remote workers.
+Both book, persist, resume and merge through this one code path.
+
 **Sharding.**  :func:`build_all_cells` cuts every experiment along its
 workload axis (see :func:`repro.harness.experiments.experiment_workloads`)
 into :class:`CampaignCell`\\ s, and :class:`CampaignRunner` executes them
-on ``workers`` supervisor threads.  Each cell still runs through PR 2's
+on ``workers`` supervisor threads.  Each cell runs through the
 crash-isolated machinery (:func:`repro.harness.isolation.run_experiment_isolated`:
 child process, wall-clock timeout, structured failures), so the "pool"
 is really N threads each baby-sitting one killable child at a time —
@@ -31,13 +41,13 @@ holding the result table, the attempt ledger and the cell's counter
 dump) via atomic rename — gzip-compressed, magic-sniffed on read so
 older plain-JSON campaign directories keep restoring — plus a campaign
 ``manifest.json`` rewritten as cells finish.  All checkpoint IO goes
-through :mod:`repro.harness.store`, which the distributed coordinator
-(:mod:`repro.harness.dist`) shares, so a checkpoint uploaded by a
+through :mod:`repro.harness.store`, so a checkpoint uploaded by a
 remote worker is byte-compatible with a locally written one.
 ``resume=True`` restores cells whose checkpoint matches their current
-config hash and succeeded; failed, stale (hash-mismatched) or truncated
-checkpoints are re-executed.  A campaign SIGKILLed mid-run therefore
-resumes from its last completed cell.
+config hash, succeeded, and is corroborated by the manifest; failed,
+stale (hash-mismatched), truncated or torn checkpoints are re-executed.
+A campaign SIGKILLed mid-run therefore resumes from its last completed
+cell, whichever driver ran it.
 
 **Deterministic merge.**  Shard tables merge per experiment group in
 **cell order** — fixed by the spec, never by completion order — through
@@ -53,9 +63,10 @@ and its results and are byte-identical across run shapes, while
 with worker count and placement.
 
 **Graceful degradation.**  A platform without any multiprocessing start
-method, or a worker-pool setup failure, degrades to the serial
-single-supervisor path with a logged warning — the campaign completes
-either way (``harness.campaign.degraded`` records that it happened).
+method, or a worker-pool setup failure, degrades the local driver to
+the serial single-supervisor path with a logged warning — the campaign
+completes either way (``harness.campaign.degraded`` records that it
+happened).
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.telemetry.counters import CounterRegistry, merge_dumps
@@ -342,45 +353,13 @@ def render_dry_run(
     return "\n".join([header] + lines)
 
 
-def derive_adaptive_timeouts(
-    cells: Sequence[CampaignCell],
-    history: Dict[str, Dict],
-    *,
-    timeout: Optional[float],
-) -> Dict[str, float]:
-    """Per-cell wall-clock timeouts from previous-run durations: a cell
-    that completed before (same config hash) gets ``max(floor, duration
-    * margin)``, never above the campaign-level ``timeout``.  Shared by
-    the local runner and the distributed coordinator (which hands the
-    derived allowance to workers with each lease)."""
-    derived: Dict[str, float] = {}
-    for cell in cells:
-        entry = history.get(cell.key)
-        if (
-            entry is None
-            or entry.get("status") not in ("ok", "restored")
-            or entry.get("config_hash") != cell.config_hash()
-        ):
-            continue
-        duration = entry.get("duration_s")
-        if not isinstance(duration, (int, float)) or duration <= 0:
-            continue
-        allowance = max(
-            ADAPTIVE_TIMEOUT_FLOOR, duration * ADAPTIVE_TIMEOUT_MARGIN
-        )
-        if timeout is not None:
-            allowance = min(allowance, timeout)
-        derived[cell.key] = allowance
-    return derived
-
-
 def load_timeout_history(
     out_dir: Optional[str],
 ) -> Dict[str, Dict]:
     """Combined duration history under ``out_dir``: the previous
     manifest's entries overlaid with the shared ``timeout_history.json``
     (which concurrent workers merge into, so it wins when both know a
-    cell).  The result feeds :func:`derive_adaptive_timeouts` and
+    cell).  The result feeds :meth:`Campaign.seed_timeouts` and
     ``--dry-run`` estimates — never checkpoint corroboration, which must
     use the manifest alone."""
     if out_dir is None:
@@ -395,6 +374,35 @@ def load_timeout_history(
     return history
 
 
+def outcome_from_checkpoint(cell: CampaignCell, data: Dict) -> CellOutcome:
+    """Rehydrate a validated checkpoint payload (an upload, or a file
+    restored from disk) into the outcome the run that wrote it
+    produced."""
+    if data["status"] == "ok":
+        table: Optional[ExperimentTable] = (
+            ExperimentTable.from_dict(data["table"])
+        )
+        failure: Optional[ExperimentFailure] = None
+    else:
+        table = None
+        rec = data["failure"]
+        failure = ExperimentFailure(
+            name=cell.key,
+            kind=rec.get("kind", "Unknown"),
+            message=rec.get("message", ""),
+            traceback_text=rec.get("traceback", "") or "",
+            attempts=int(rec.get("attempts", 1)),
+            kwargs=dict(cell.kwargs),
+        )
+    return CellOutcome(
+        cell=cell,
+        table=table,
+        failure=failure,
+        ledger=list(data.get("ledger", [])),
+        duration_s=float(data.get("duration_s", 0.0)),
+    )
+
+
 def restore_outcome(
     cell: CampaignCell,
     out_dir: str,
@@ -406,10 +414,8 @@ def restore_outcome(
     mismatch, or a recorded failure (failures always re-execute).
     ``torn`` is True for the special case of a *valid* checkpoint the
     manifest never corroborated — the driver died between the checkpoint
-    write and the manifest rewrite — which callers surface loudly
-    (counter + log line) instead of silently trusting.  Shared by the
-    local runner and the distributed coordinator so resume semantics
-    cannot drift between them."""
+    write and the manifest rewrite — which :meth:`Campaign.open`
+    surfaces loudly (counter + log line) instead of silently trusting."""
     path = store.checkpoint_path(out_dir, cell.key, cell.config_hash())
     try:
         data = store.read_json(path)
@@ -419,10 +425,6 @@ def restore_outcome(
         return None, False
     if data.get("status") != "ok":
         return None, False  # recorded failures always re-execute
-    try:
-        table = ExperimentTable.from_dict(data["table"])
-    except (KeyError, TypeError, ValueError):
-        return None, False
     entry = manifest.get(cell.key)
     if (
         entry is None
@@ -430,14 +432,9 @@ def restore_outcome(
         or entry.get("config_hash") != cell.config_hash()
     ):
         return None, True
-    return CellOutcome(
-        cell=cell,
-        table=table,
-        failure=None,
-        ledger=list(data.get("ledger", [])),
-        duration_s=float(data.get("duration_s", 0.0)),
-        restored=True,
-    ), False
+    outcome = outcome_from_checkpoint(cell, data)
+    outcome.restored = True
+    return outcome, False
 
 
 def merge_outcomes(
@@ -568,10 +565,254 @@ def build_all_cells(
     return cells
 
 
+class Campaign:
+    """The state of one campaign run, shared by both drivers: the cells
+    in canonical order, their leases and outcomes, the
+    ``harness.campaign.*`` counters, the manifest, resume with torn-write
+    corroboration, adaptive timeouts and the merge.
+
+    A driver calls :meth:`open` once, then repeatedly :meth:`lease` s a
+    cell, runs it and :meth:`complete` s its outcome until nothing is
+    left to lease, then :meth:`collect` s the merged result.  ``lease``,
+    ``complete`` and ``collect`` take :attr:`lock`, so driver threads may
+    call them concurrently; ``open`` runs before any driver thread.
+    """
+
+    def __init__(
+        self,
+        cells: Sequence[CampaignCell],
+        *,
+        out_dir: Optional[str] = None,
+        resume: bool = False,
+        timeout: Optional[float] = None,
+        adaptive_timeout: bool = True,
+        workers: Union[int, str] = 1,
+        echo: Callable[[str], None] = _default_echo,
+    ) -> None:
+        keys = [cell.key for cell in cells]
+        if len(set(keys)) != len(keys):
+            dupes = sorted({k for k in keys if keys.count(k) > 1})
+            raise ValueError(f"duplicate cell keys: {dupes}")
+        if resume and out_dir is None:
+            raise ValueError("resume requires an out_dir to resume from")
+        self.cells = list(cells)
+        self.out_dir = out_dir
+        self.resume = resume
+        self.timeout = timeout
+        self.adaptive_timeout = adaptive_timeout
+        self.workers = workers
+        #: set by the local driver when it fell back to serial execution
+        self.degraded = False
+        #: cell key -> history-derived wall-clock timeout (seconds)
+        self.timeouts: Dict[str, float] = {}
+        #: cell key -> [worker, monotonic expiry, or None for no expiry]
+        self.leases: Dict[str, List] = {}
+        self.outcomes: Dict[str, CellOutcome] = {}
+        #: set once every cell has an outcome
+        self.finished = threading.Event()
+        self.lock = threading.Lock()
+        self._echo = echo
+        self._history = TimeoutHistory()
+        self.counters = CounterRegistry()
+        self.counters.metadata.update(
+            campaign="harness", workers=workers, resume=resume,
+        )
+        for leaf in CAMPAIGN_COUNTER_LEAVES:
+            self.counters.counter(f"harness.campaign.{leaf}")
+
+    def checkpoint_path(self, cell: CampaignCell) -> str:
+        return store.checkpoint_path(
+            self.out_dir, cell.key, cell.config_hash()
+        )
+
+    def seed_timeouts(self, history: Dict[str, Dict]) -> None:
+        """Derive per-cell wall-clock timeouts from previous-run
+        durations: a cell that completed before (same config hash) gets
+        ``max(ADAPTIVE_TIMEOUT_FLOOR, duration * ADAPTIVE_TIMEOUT_MARGIN)``,
+        never above the campaign-level timeout.  Cells without usable
+        history keep the campaign-level timeout."""
+        timeouts: Dict[str, float] = {}
+        for cell in self.cells:
+            duration = TimeoutHistory.estimate(history, cell)
+            if duration is None:
+                continue
+            allowance = max(
+                ADAPTIVE_TIMEOUT_FLOOR, duration * ADAPTIVE_TIMEOUT_MARGIN
+            )
+            if self.timeout is not None:
+                allowance = min(allowance, self.timeout)
+            timeouts[cell.key] = allowance
+        self.timeouts = timeouts
+        if timeouts:
+            self.counters.counter(
+                "harness.campaign.adaptive_timeouts"
+            ).add(len(timeouts))
+            self._echo(
+                f"[campaign] adaptive timeouts derived for {len(timeouts)} "
+                "cell(s) from the previous manifest"
+            )
+
+    def open(self) -> None:
+        """Start the run: count the cells, seed the adaptive timeouts
+        from the campaign directory's history and, on resume, restore
+        every checkpoint the manifest corroborates.  A valid checkpoint
+        the manifest never acknowledged is a torn write: counted, logged
+        and re-run."""
+        self.counters.counter("harness.campaign.cells").add(len(self.cells))
+        if self.adaptive_timeout:
+            self.seed_timeouts(load_timeout_history(self.out_dir))
+        if self.resume:
+            # Corroboration uses the manifest alone — a synthesized
+            # timeout-history entry must never vouch for a torn
+            # checkpoint.
+            manifest = store.load_manifest_entries(self.out_dir)
+            for cell in self.cells:
+                outcome, torn = restore_outcome(cell, self.out_dir, manifest)
+                if torn:
+                    self.counters.counter("harness.campaign.torn").add(1)
+                    self._echo(
+                        f"[campaign] {cell.key}: checkpoint not corroborated "
+                        "by the manifest (torn write: driver died between "
+                        "checkpoint and manifest rewrite); treating as stale "
+                        "and re-running"
+                    )
+                if outcome is not None:
+                    self.complete(outcome)
+
+    def lease(
+        self, worker: str, lease_seconds: Optional[float] = None,
+    ) -> Optional[Tuple[CampaignCell, Optional[str]]]:
+        """Lease the next cell to ``worker`` in canonical order: the
+        first pending cell, else the first cell whose lease expired.
+        Returns ``(cell, stolen_from)`` — the worker whose expired lease
+        was taken, ``None`` for a pending cell — or ``None`` when no cell
+        can be leased.  Without ``lease_seconds`` the lease never
+        expires."""
+        now = time.monotonic()
+        with self.lock:
+            expired = None
+            for cell in self.cells:
+                if cell.key in self.outcomes:
+                    continue
+                held = self.leases.get(cell.key)
+                if held is None:
+                    chosen, stolen_from = cell, None
+                    break
+                if expired is None and held[1] is not None and now >= held[1]:
+                    # keep scanning: a pending cell still wins, so a
+                    # steal is the fallback in canonical order
+                    expired = (cell, held[0])
+            else:
+                if expired is None:
+                    return None
+                chosen, stolen_from = expired
+            self.leases[chosen.key] = [
+                worker, None if lease_seconds is None else now + lease_seconds,
+            ]
+            return chosen, stolen_from
+
+    def complete(
+        self, outcome: CellOutcome, checkpoint: Optional[Dict] = None,
+    ) -> bool:
+        """Book one finished cell and release its lease: counters,
+        checkpoint (``checkpoint`` verbatim when given, else built from
+        the outcome; none for a restored cell), timeout history, manifest
+        and a progress line.  Returns False, booking nothing, when the
+        cell already has an outcome: the first write wins."""
+        cell = outcome.cell
+        attempts = len(outcome.ledger)
+        with self.lock:
+            if cell.key in self.outcomes:
+                return False
+            self.outcomes[cell.key] = outcome
+            self.leases.pop(cell.key, None)
+            ctr = self.counters.counter
+            ctr("harness.campaign.attempts").add(attempts)
+            ctr("harness.campaign.retries").add(max(0, attempts - 1))
+            ctr("harness.campaign.backoff_seconds").add(
+                sum(e.get("backoff_s", 0.0) for e in outcome.ledger)
+            )
+            if outcome.restored:
+                ctr("harness.campaign.skipped").add(1)
+            else:
+                ctr("harness.campaign.completed" if outcome.ok
+                    else "harness.campaign.failed").add(1)
+                # Checkpoint before manifest: a driver killed in between
+                # leaves a torn write that resume detects.
+                if self.out_dir is not None:
+                    if checkpoint is None:
+                        checkpoint = store.build_checkpoint(outcome)
+                    store.write_json(self.checkpoint_path(cell), checkpoint,
+                                     compress=True)
+                if outcome.ok:
+                    self._history.record(cell, outcome.duration_s)
+            self._write_manifest()
+            if len(self.outcomes) == len(self.cells):
+                self.finished.set()
+        if outcome.restored:
+            note = "restored from checkpoint"
+        elif outcome.ok:
+            note = f"ok ({outcome.duration_s:.1f}s, {attempts} attempt(s))"
+        else:
+            note = (f"FAILED ({outcome.failure.kind}) after {attempts} "
+                    "attempt(s)")
+        self._echo(f"[campaign] {cell.key}: {note}")
+        return True
+
+    def _write_manifest(self) -> Optional[str]:
+        """(Re)write ``manifest.json`` with every cell's current status
+        (lock held) — after every cell, so a killed campaign leaves an
+        honest partial manifest behind."""
+        if self.out_dir is None:
+            return None
+        path = store.manifest_path(self.out_dir)
+        store.write_json(path, store.manifest_payload(
+            self.cells, self.outcomes, out_dir=self.out_dir,
+            workers=self.workers, degraded=self.degraded,
+            resume=self.resume,
+        ))
+        return path
+
+    def collect(self) -> CampaignResult:
+        """Merge the outcomes in canonical cell order via
+        :func:`merge_outcomes` and write the merge artifacts
+        (``tables.json``/``counters.json`` deterministic,
+        ``ops_counters.json`` run-shape — module docstring)."""
+        with self.lock:
+            outcomes = dict(self.outcomes)
+            manifest_path = self._write_manifest()
+            ops_dump = self.counters.to_dict()
+        merged = merge_outcomes(self.cells, outcomes)
+        cell_dumps = merged["cell_dumps"]
+        paths: Dict[str, str] = {}
+        if self.out_dir is not None:
+            self._history.flush(self.out_dir)
+            paths = store.write_merge_artifacts(
+                self.out_dir, merged["tables"], cell_dumps, [ops_dump],
+            )
+        return CampaignResult(
+            tables=merged["tables"],
+            failures=merged["failures"],
+            completed=merged["completed"],
+            skipped=merged["skipped"],
+            failed=merged["failed"],
+            not_run=merged["not_run"],
+            group_seconds=merged["group_seconds"],
+            degraded=self.degraded,
+            counters=merge_dumps([ops_dump] + cell_dumps),
+            failed_groups=merged["failed_groups"],
+            manifest_path=manifest_path,
+            counters_path=paths.get("counters"),
+            ops_counters_path=paths.get("ops_counters"),
+            tables_path=paths.get("tables"),
+        )
+
+
 class CampaignRunner:
-    """Executes a list of :class:`CampaignCell`\\ s with sharding,
-    checkpoints, retry/backoff and graceful degradation (module
-    docstring has the full story).
+    """The local driver: ``workers`` supervisor threads that lease cells
+    from one :class:`Campaign` and run each through :func:`execute_cell`,
+    with stop-on-failure (``keep_going=False``) and the serial fallback
+    (module docstring has the full story).
 
     ``sleep`` is injectable so tests can assert the backoff schedule
     without waiting it out; ``echo`` receives progress/warning lines
@@ -594,233 +835,71 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         echo: Callable[[str], None] = _default_echo,
     ) -> None:
-        keys = [cell.key for cell in cells]
-        if len(set(keys)) != len(keys):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValueError(f"duplicate cell keys: {dupes}")
-        if resume and out_dir is None:
-            raise ValueError("resume requires an out_dir to resume from")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         workers = resolve_workers(workers, echo)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.cells = list(cells)
+        self.campaign = Campaign(
+            cells, out_dir=out_dir, resume=resume, timeout=timeout,
+            adaptive_timeout=adaptive_timeout, workers=workers, echo=echo,
+        )
         self.workers = workers
-        self.out_dir = out_dir
-        self.resume = resume
-        self.timeout = timeout
-        self.adaptive_timeout = adaptive_timeout
-        #: cell key -> history-derived wall-clock timeout (seconds),
-        #: seeded from the previous manifest in :meth:`run`
-        self._cell_timeouts: Dict[str, float] = {}
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+        self.policy = ExecutionPolicy(
+            timeout=timeout, max_attempts=max_attempts,
+            backoff_base=backoff_base, backoff_cap=backoff_cap, sleep=sleep,
+        )
         self.keep_going = keep_going
-        self._sleep = sleep
         self._echo = echo
-        self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._outcomes: Dict[str, CellOutcome] = {}
-        self._history = TimeoutHistory()
-        self._degraded = False
-        self.counters = CounterRegistry()
-        self.counters.metadata.update(
-            campaign="harness", workers=workers, resume=resume,
-        )
-        for leaf in CAMPAIGN_COUNTER_LEAVES:
-            self.counters.counter(f"harness.campaign.{leaf}")
-
-    # ------------------------------------------------------------------
-    # checkpoint plumbing
-    # ------------------------------------------------------------------
-
-    def _checkpoint_path(self, cell: CampaignCell) -> str:
-        return store.checkpoint_path(
-            self.out_dir, cell.key, cell.config_hash()
-        )
-
-    def _load_checkpoint(
-        self, cell: CampaignCell, manifest: Dict[str, Dict]
-    ) -> Optional[CellOutcome]:
-        """Restore a cell via the shared :func:`restore_outcome`; a torn
-        write (valid checkpoint the manifest never corroborated) is
-        surfaced as stale-and-rerun instead of silently trusted."""
-        outcome, torn = restore_outcome(cell, self.out_dir, manifest)
-        if torn:
-            self.counters.counter("harness.campaign.torn").add(1)
-            self._echo(
-                f"[campaign] {cell.key}: checkpoint not corroborated by "
-                "the manifest (torn write: driver died between checkpoint "
-                "and manifest rewrite); treating as stale and re-running"
-            )
-        return outcome
-
-    def _write_checkpoint(self, outcome: CellOutcome) -> None:
-        """Persist one finished cell atomically (tmp file + rename,
-        gzip-compressed), so a SIGKILL mid-write can never leave a
-        half-checkpoint that a later ``--resume`` would trust."""
-        if self.out_dir is None:
-            return
-        store.write_json(
-            self._checkpoint_path(outcome.cell),
-            store.build_checkpoint(outcome),
-            compress=True,
-        )
-
-    def _write_manifest(self) -> Optional[str]:
-        """(Re)write ``manifest.json`` reflecting every cell's current
-        status — called as cells finish, so a killed campaign leaves an
-        honest partial manifest behind."""
-        if self.out_dir is None:
-            return None
-        payload = store.manifest_payload(
-            self.cells, self._outcomes, out_dir=self.out_dir,
-            workers=self.workers, degraded=self._degraded,
-            resume=self.resume,
-        )
-        path = store.manifest_path(self.out_dir)
-        store.write_json(path, payload)
-        return path
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
 
     def _run_cell(self, cell: CampaignCell) -> CellOutcome:
         """Run one cell via the shared :func:`execute_cell` loop (policy-
         driven, so distributed workers reuse it verbatim)."""
-        policy = ExecutionPolicy(
-            timeout=self.timeout,
-            adaptive_timeout=self._cell_timeouts.get(cell.key),
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            sleep=self._sleep,
-        )
-        return execute_cell(cell, policy)
+        return execute_cell(cell, replace(
+            self.policy, adaptive_timeout=self.campaign.timeouts.get(cell.key),
+        ))
 
-    def _record(self, outcome: CellOutcome) -> None:
-        """Book one finished cell: shared state, counters, checkpoint,
-        manifest, progress line (thread-safe)."""
-        with self._lock:
-            self._outcomes[outcome.cell.key] = outcome
-            ctr = self.counters.counter
-            ctr("harness.campaign.attempts").add(len(outcome.ledger))
-            ctr("harness.campaign.retries").add(
-                max(0, len(outcome.ledger) - 1)
-            )
-            ctr("harness.campaign.backoff_seconds").add(
-                sum(e.get("backoff_s", 0.0) for e in outcome.ledger)
-            )
-            if outcome.restored:
-                ctr("harness.campaign.skipped").add(1)
-            elif outcome.ok:
-                ctr("harness.campaign.completed").add(1)
-            else:
-                ctr("harness.campaign.failed").add(1)
-            if not outcome.restored:
-                self._write_checkpoint(outcome)
-                if outcome.ok:
-                    self._history.record(outcome.cell, outcome.duration_s)
-            self._write_manifest()
-            if outcome.restored:
-                self._echo(f"[campaign] {outcome.cell.key}: restored "
-                           "from checkpoint")
-            elif outcome.ok:
-                self._echo(
-                    f"[campaign] {outcome.cell.key}: ok "
-                    f"({outcome.duration_s:.1f}s, "
-                    f"{len(outcome.ledger)} attempt(s))"
-                )
-            else:
-                self._echo(
-                    f"[campaign] {outcome.cell.key}: FAILED "
-                    f"({outcome.failure.kind}) after "
-                    f"{len(outcome.ledger)} attempt(s)"
-                )
-        if not outcome.ok and not self.keep_going:
-            self._stop.set()
-
-    def _worker(self, queue: List[CampaignCell]) -> None:
-        """Supervisor loop: pop the next pending cell, run it, record it;
-        exits when the queue drains or stop-on-failure triggers."""
-        while True:
-            if self._stop.is_set():
+    def _supervise(self, worker: str) -> None:
+        """Supervisor loop: lease the next cell, run it, complete it;
+        exits when nothing is left to lease or stop-on-failure
+        triggers."""
+        while not self._stop.is_set():
+            leased = self.campaign.lease(worker)
+            if leased is None:
                 return
-            with self._lock:
-                if not queue:
-                    return
-                cell = queue.pop(0)
-            self._record(self._run_cell(cell))
+            outcome = self._run_cell(leased[0])
+            self.campaign.complete(outcome)
+            if not outcome.ok and not self.keep_going:
+                self._stop.set()
 
     def _degrade(self, reason: str) -> None:
         """Fall back to serial execution, loudly."""
-        if not self._degraded:
-            self._degraded = True
-            self.counters.counter("harness.campaign.degraded").add(1)
+        if not self.campaign.degraded:
+            self.campaign.degraded = True
+            self.campaign.counters.counter("harness.campaign.degraded").add(1)
             self._echo(f"[campaign] warning: {reason}; "
                        "falling back to serial execution")
-
-    def _seed_adaptive_timeouts(self, manifest: Dict[str, Dict]) -> None:
-        """Derive per-cell wall-clock timeouts from the previous
-        manifest's durations: a cell that completed before (same config
-        hash) gets ``max(ADAPTIVE_TIMEOUT_FLOOR, duration *
-        ADAPTIVE_TIMEOUT_MARGIN)``, never above the campaign-level
-        timeout.  Cells without usable history keep the global timeout."""
-        if not self.adaptive_timeout:
-            return
-        self._cell_timeouts = derive_adaptive_timeouts(
-            self.cells, manifest, timeout=self.timeout
-        )
-        derived = len(self._cell_timeouts)
-        if derived:
-            self.counters.counter(
-                "harness.campaign.adaptive_timeouts"
-            ).add(derived)
-            self._echo(
-                f"[campaign] adaptive timeouts derived for {derived} "
-                "cell(s) from the previous manifest"
-            )
 
     def run(self) -> CampaignResult:
         """Execute the campaign; returns the merged
         :class:`CampaignResult` (never raises for cell failures — they
         are data, reported in ``failures``)."""
-        self.counters.counter("harness.campaign.cells").add(len(self.cells))
-        self._seed_adaptive_timeouts(load_timeout_history(self.out_dir))
-        # Checkpoint corroboration on resume uses the manifest alone —
-        # a synthesized timeout-history entry must never vouch for a
-        # torn checkpoint.
-        manifest = (
-            store.load_manifest_entries(self.out_dir)
-            if self.resume else {}
-        )
-        pending: List[CampaignCell] = []
-        for cell in self.cells:
-            restored = (
-                self._load_checkpoint(cell, manifest) if self.resume
-                else None
-            )
-            if restored is not None:
-                self._record(restored)
-            else:
-                pending.append(cell)
-
+        self.campaign.open()
         workers = self.workers
         if workers > 1 and not process_isolation_available():
             self._degrade(
                 "no multiprocessing start method on this platform"
             )
             workers = 1
+        pending = len(self.campaign.cells) - len(self.campaign.outcomes)
         if workers > 1 and pending:
             threads: List[threading.Thread] = []
             try:
-                for i in range(min(workers, len(pending))):
+                for i in range(min(workers, pending)):
                     thread = threading.Thread(
-                        target=self._worker,
-                        args=(pending,),
+                        target=self._supervise,
+                        args=(f"worker-{i}",),
                         name=f"campaign-worker-{i}",
                         daemon=True,
                     )
@@ -828,53 +907,12 @@ class CampaignRunner:
                     threads.append(thread)
             except (RuntimeError, OSError) as exc:
                 self._degrade(f"worker pool setup failed ({exc})")
-            # Drain alongside (or instead of) the pool: the shared queue
-            # makes the serial fallback the same loop on the main thread.
-            if self._degraded:
-                self._worker(pending)
+            # Lease alongside (or instead of) the pool: the serial
+            # fallback is the same loop on the main thread.
+            if self.campaign.degraded:
+                self._supervise("main")
             for thread in threads:
                 thread.join()
         else:
-            self._worker(pending)
-
-        return self._collect()
-
-    # ------------------------------------------------------------------
-    # merge + report
-    # ------------------------------------------------------------------
-
-    def _collect(self) -> CampaignResult:
-        """Merge outcomes deterministically via the shared
-        :func:`merge_outcomes` and write the merge artifacts
-        (``tables.json``/``counters.json`` deterministic,
-        ``ops_counters.json`` run-shape — module docstring)."""
-        merged = merge_outcomes(self.cells, self._outcomes)
-        cell_dumps = merged["cell_dumps"]
-        counters = merge_dumps([self.counters.to_dict()] + cell_dumps)
-        manifest_path = self._write_manifest()
-        counters_path = ops_counters_path = tables_path = None
-        if self.out_dir is not None:
-            self._history.flush(self.out_dir)
-            paths = store.write_merge_artifacts(
-                self.out_dir, merged["tables"], cell_dumps,
-                [self.counters.to_dict()],
-            )
-            tables_path = paths["tables"]
-            counters_path = paths["counters"]
-            ops_counters_path = paths["ops_counters"]
-        return CampaignResult(
-            tables=merged["tables"],
-            failures=merged["failures"],
-            completed=merged["completed"],
-            skipped=merged["skipped"],
-            failed=merged["failed"],
-            not_run=merged["not_run"],
-            group_seconds=merged["group_seconds"],
-            degraded=self._degraded,
-            counters=counters,
-            failed_groups=merged["failed_groups"],
-            manifest_path=manifest_path,
-            counters_path=counters_path,
-            ops_counters_path=ops_counters_path,
-            tables_path=tables_path,
-        )
+            self._supervise("main")
+        return self.campaign.collect()

@@ -1,11 +1,11 @@
-"""Content-addressed campaign storage shared by the local runner and
-the distributed coordinator.
+"""Content-addressed storage of the campaign engine
+(:class:`repro.harness.runner.Campaign`).
 
 A campaign directory (``--out``) is a small durable store with four
-kinds of artifacts, all written through this module so the serial
-:class:`repro.harness.runner.CampaignRunner` and the distributed
-:class:`repro.harness.dist.CampaignCoordinator` produce byte-identical
-layouts:
+kinds of artifacts, all written through this module, so the engine's
+two drivers (the local ``CampaignRunner`` and the distributed
+``CampaignCoordinator``) produce byte-identical layouts and each can
+resume what the other started:
 
 ``cells/<key>.<config-hash>.json``
     one checkpoint per finished cell — the result table, the attempt
@@ -187,12 +187,19 @@ def validate_checkpoint(data, key: str, config_hash: str) -> Optional[str]:
 
         try:
             ExperimentTable.from_dict(data["table"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return f"table does not parse ({exc})"
     elif not isinstance(data.get("failure"), dict):
         return "failed checkpoint without a failure record"
-    if not isinstance(data.get("ledger"), list):
-        return "missing attempt ledger"
+    elif not isinstance(data["failure"].get("attempts", 1), int):
+        return "failure attempts is not an integer"
+    ledger = data.get("ledger")
+    if not isinstance(ledger, list) or not all(isinstance(entry, dict) and (
+            isinstance(entry.get("backoff_s", 0.0), (int, float)))
+            for entry in ledger):
+        return "missing or malformed attempt ledger"
+    if not isinstance(data.get("duration_s", 0.0), (int, float)):
+        return "duration_s is not a number"
     return None
 
 
@@ -238,7 +245,6 @@ def manifest_payload(
     workers,
     degraded: bool,
     resume: bool,
-    extra: Optional[Dict] = None,
 ) -> Dict:
     """The ``manifest.json`` payload reflecting every cell's current
     status (outcome present => ok/restored/failed; absent => not-run)."""
@@ -273,7 +279,7 @@ def manifest_payload(
             entry["attempts"] = len(outcome.ledger)
             entry["duration_s"] = round(outcome.duration_s, 3)
         entries.append(entry)
-    payload = {
+    return {
         "version": CHECKPOINT_VERSION,
         "workers": workers,
         "degraded": degraded,
@@ -281,9 +287,6 @@ def manifest_payload(
         "totals": totals,
         "cells": entries,
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +340,13 @@ class TimeoutHistory:
     @staticmethod
     def estimate(entries: Dict[str, Dict], cell: "CampaignCell"):
         """The cell's known-good duration, or ``None`` without usable
-        history (missing entry or stale config hash)."""
+        history (missing entry, unfinished run or stale config hash)."""
         entry = entries.get(cell.key)
-        if entry is None or entry.get("config_hash") != cell.config_hash():
+        if (
+            entry is None
+            or entry.get("status") not in ("ok", "restored")
+            or entry.get("config_hash") != cell.config_hash()
+        ):
             return None
         duration = entry.get("duration_s")
         if not isinstance(duration, (int, float)) or duration <= 0:

@@ -455,11 +455,6 @@ class ServiceCore:
         with self._lock:
             return self._exec.pop()
 
-    def execution_backlog(self, tenant: str) -> int:
-        """Requests parked in the tenant's execution queue."""
-        with self._lock:
-            return self._exec.depth(tenant)
-
     def execution_snapshot(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant fair-queue state (weight/priority/depth/deficit)."""
         with self._lock:

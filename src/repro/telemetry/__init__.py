@@ -80,10 +80,6 @@ class Telemetry:
         """The Chrome ``trace_event`` dict for this run."""
         return self.tracer.to_chrome(metadata=self.counters.metadata)
 
-    def counter_dump(self) -> Dict:
-        """The counter dump (flat values, rollup tree, sampled series)."""
-        return self.counters.to_dict()
-
     def write(self, stem: str) -> Dict[str, str]:
         """Write ``<stem>.trace.json`` and ``<stem>.counters.json``
         (creating parent directories); returns

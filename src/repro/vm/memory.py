@@ -71,6 +71,3 @@ class SparseMemory:
 
     def read_array(self, base: int, count: int, width: int = 4) -> list:
         return [self._words.get(base + i * width, 0) for i in range(count)]
-
-    def touched_words(self) -> int:
-        return len(self._words)

@@ -294,7 +294,7 @@ class TestCheckpointResume:
         cells = self._cells(1)
         runner = CampaignRunner(cells, out_dir=out, echo=lambda _: None)
         runner.run()
-        path = runner._checkpoint_path(cells[0])
+        path = runner.campaign.checkpoint_path(cells[0])
         with open(path, "w") as fh:
             fh.write('{"version": 1, "status": "ok"')  # torn write
         result = CampaignRunner(cells, out_dir=out, resume=True,
@@ -478,7 +478,7 @@ class TestRetryBackoff:
                                 backoff_base=0.1, sleep=lambda _: None,
                                 echo=lambda _: None)
         runner.run()
-        ckpt = store.read_json(runner._checkpoint_path(cells[0]))
+        ckpt = store.read_json(runner.campaign.checkpoint_path(cells[0]))
         assert [e["status"] for e in ckpt["ledger"]] == ["failed", "ok"]
         assert ckpt["ledger"][0]["kind"] == "ChildCrash"
         assert ckpt["ledger"][0]["backoff_s"] == 0.1
@@ -712,7 +712,7 @@ class TestAdaptiveTimeouts:
         result = runner.run()
         assert result.ok
         # a sub-second cell gets the floor, not a sub-second timeout
-        assert runner._cell_timeouts == {"g/ok": 10.0}
+        assert runner.campaign.timeouts == {"g/ok": 10.0}
         assert result.counters["counters"][
             "harness.campaign.adaptive_timeouts"] == 1
 
@@ -722,28 +722,28 @@ class TestAdaptiveTimeouts:
                  "duration_s": 100.0}
         capped = CampaignRunner([cell], out_dir=str(tmp_path), timeout=50.0,
                                 echo=lambda m: None)
-        capped._seed_adaptive_timeouts({"g/ok": entry})
-        assert capped._cell_timeouts == {"g/ok": 50.0}
+        capped.campaign.seed_timeouts({"g/ok": entry})
+        assert capped.campaign.timeouts == {"g/ok": 50.0}
         free = CampaignRunner([cell], out_dir=str(tmp_path),
                               echo=lambda m: None)
-        free._seed_adaptive_timeouts({"g/ok": entry})
-        assert free._cell_timeouts == {"g/ok": 400.0}
+        free.campaign.seed_timeouts({"g/ok": entry})
+        assert free.campaign.timeouts == {"g/ok": 400.0}
 
     def test_ignores_stale_failed_or_missing_history(self, tmp_path):
         cell = self._cell()
         runner = CampaignRunner([cell], out_dir=str(tmp_path),
                                 echo=lambda m: None)
-        runner._seed_adaptive_timeouts({
+        runner.campaign.seed_timeouts({
             "g/ok": {"status": "ok", "config_hash": "deadbeef",
                      "duration_s": 5.0},
         })
-        runner._seed_adaptive_timeouts({
+        runner.campaign.seed_timeouts({
             "g/ok": {"status": "failed",
                      "config_hash": cell.config_hash(),
                      "duration_s": 5.0},
         })
-        runner._seed_adaptive_timeouts({})
-        assert runner._cell_timeouts == {}
+        runner.campaign.seed_timeouts({})
+        assert runner.campaign.timeouts == {}
 
     def test_disabled_derives_nothing(self, tmp_path):
         out = str(tmp_path / "camp")
@@ -753,7 +753,7 @@ class TestAdaptiveTimeouts:
         runner = CampaignRunner(cells, out_dir=out, adaptive_timeout=False,
                                 echo=lambda m: None)
         assert runner.run().ok
-        assert runner._cell_timeouts == {}
+        assert runner.campaign.timeouts == {}
 
     def test_timeout_retry_escalates_allowance(self, tmp_path):
         marker = str(tmp_path / "marker")
@@ -761,7 +761,7 @@ class TestAdaptiveTimeouts:
                             kwargs={"marker": marker}, group="g")
         runner = CampaignRunner([cell], max_attempts=3,
                                 sleep=lambda s: None, echo=lambda m: None)
-        runner._cell_timeouts["g/slow"] = 2.0
+        runner.campaign.timeouts["g/slow"] = 2.0
         outcome = runner._run_cell(cell)
         assert outcome.ok
         first, second = outcome.ledger[0], outcome.ledger[1]

@@ -1,9 +1,10 @@
 """Tests for the distributed campaign layer (:mod:`repro.harness.dist`,
 :mod:`repro.harness.distproto`): wire-protocol round-trips, byte-identity
-of the distributed merge with the serial runner, coordinator crash and
-cross-process resume, lease-expiry steals with duplicate-upload dedup,
-gzip checkpoint back-compat, shared timeout-history flushes and the
-campaign dry-run."""
+of the distributed merge with the serial runner, equal campaign counters
+from both drivers, coordinator crash and cross-process resume,
+lease-expiry steals with duplicate-upload dedup, 400 replies to
+malformed requests, gzip checkpoint back-compat, shared timeout-history
+flushes and the campaign dry-run."""
 
 import gzip
 import json
@@ -22,12 +23,13 @@ from repro.harness.dist import (
     EXIT_PROTOCOL,
     spawn_worker,
 )
-from repro.harness.dist_bench import run_dist_bench_cell
+from repro.harness.dist_bench import campaign_counters, run_dist_bench_cell
 from repro.harness.distproto import (
     ProtocolError,
     cell_from_wire,
     cell_to_wire,
     check_version,
+    post_json,
 )
 from repro.harness.runner import (
     CampaignCell,
@@ -148,6 +150,49 @@ class TestDistributedMerge:
         ops = store.read_json(result.ops_counters_path)
         assert ops["counters"]["harness.dist.uploads"] == len(cells)
         assert ops["counters"]["harness.dist.workers"] == 1
+
+    def test_drivers_book_the_same_campaign_counters(self, tmp_path):
+        """The local runner and a loopback fleet book the same
+        harness.campaign.* counters, fresh and on a resume that restores
+        two cells and re-runs one whose manifest entry was rolled back
+        (a torn write)."""
+        cells = _cells(3)
+        local, fleet = str(tmp_path / "local"), str(tmp_path / "fleet")
+
+        def run_local(resume=False):
+            assert CampaignRunner(
+                cells, workers=2, out_dir=local, resume=resume,
+                echo=lambda m: None,
+            ).run().ok
+
+        def run_fleet(resume=False):
+            coord = CampaignCoordinator(
+                cells, out_dir=fleet, resume=resume, echo=lambda m: None,
+            )
+            url = coord.start()
+            try:
+                worker = DistWorker(url, name="t-books",
+                                    echo=lambda m: None)
+                assert worker.run() == EXIT_OK
+                assert coord.wait(10.0)
+            finally:
+                coord.stop()
+            assert coord.collect().ok
+
+        run_local()
+        run_fleet()
+        assert campaign_counters(local) == campaign_counters(fleet)
+        for out_dir in (local, fleet):
+            path = store.manifest_path(out_dir)
+            manifest = store.read_json(path)
+            manifest["cells"][1]["status"] = "not-run"
+            store.write_json(path, manifest)
+        run_local(resume=True)
+        run_fleet(resume=True)
+        resumed = campaign_counters(local)
+        assert resumed == campaign_counters(fleet)
+        assert [resumed[f"harness.campaign.{leaf}"] for leaf in
+                ("cells", "completed", "skipped", "torn")] == [3, 1, 2, 1]
 
     def test_worker_exits_2_on_protocol_mismatch(self, tmp_path):
         coord = CampaignCoordinator(
@@ -300,6 +345,47 @@ class TestLeaseStealAndDedup:
         assert coord.upload("w", bad)[0] == 400
         ctr = coord.counters.to_dict()["counters"]
         assert ctr["harness.dist.upload_rejected"] == 3
+
+    @pytest.mark.parametrize("path,body", [
+        ("/upload", lambda c: {"checkpoint": {**c, "key": [c["key"]]}}),
+        ("/upload", lambda c: {"checkpoint": c, "upload_attempt": "two"}),
+        ("/upload", lambda c: {"checkpoint": {**c, "ledger": ["ok"]}}),
+        ("/upload", lambda c: {"checkpoint": {**c, "duration_s": "1s"}}),
+        ("/upload", lambda c: {"checkpoint": {
+            **c, "table": {**c["table"], "rows": [1.0]}}}),
+        ("/upload", lambda c: {"checkpoint": {
+            **c, "status": "failed", "table": None,
+            "failure": {"kind": "ChildCrash", "attempts": "three"}}}),
+        ("/heartbeat", lambda c: {"keys": 5}),
+        ("/heartbeat", lambda c: {"keys": [["x"]]}),
+    ], ids=["upload-key-list", "upload-attempt-str", "upload-ledger-str",
+            "upload-duration-str", "upload-table-rows-list",
+            "upload-failure-attempts-str", "heartbeat-keys-int",
+            "heartbeat-keys-nested"])
+    def test_malformed_request_answered_400(self, tmp_path, path, body):
+        """A malformed field gets a 400 reply over HTTP, never a dropped
+        connection (which a worker reads as a lost coordinator); the
+        coordinator keeps serving and a valid upload still completes the
+        cell."""
+        coord = self._coordinator(tmp_path, lease_seconds=15.0)
+        url = coord.start()
+        try:
+            ckpt = _run_checkpoint(coord.cells[0])
+            status, reply = post_json(
+                url + path, {"worker": "w", **body(ckpt)}, timeout=10.0,
+            )
+            assert status == 400 and reply["error"]
+            rejected = coord.counters.to_dict()["counters"][
+                "harness.dist.upload_rejected"]
+            assert rejected == (1 if path == "/upload" else 0)
+            status, reply = post_json(
+                f"{url}/upload", {"worker": "w", "checkpoint": ckpt},
+                timeout=10.0,
+            )
+            assert (status, reply["dedup"]) == (200, False)
+            assert coord.wait(5.0)
+        finally:
+            coord.stop()
 
     def test_heartbeat_extends_and_reports_held_keys(self, tmp_path):
         coord = self._coordinator(tmp_path, lease_seconds=0.2)

@@ -4,15 +4,16 @@ and executes correctly under every scheme."""
 import pytest
 
 from repro.core import make_scheme
-from repro.system import GpuSimulator
+from repro.system import GPUConfig, GpuSimulator
 from repro.workloads import MICRO
 
 
-def simulate(wl, scheme="baseline"):
+def simulate(wl, scheme="baseline", config=None):
     sim = GpuSimulator(
         kernel=wl.kernel,
         trace=wl.trace(),
         address_space=wl.make_address_space(),
+        config=config,
         scheme=make_scheme(scheme),
         paging="premapped",
     )
@@ -63,6 +64,12 @@ class TestMshrStorm:
         _, base = simulate(wl, "baseline")
         _, wd = simulate(wl, "wd-commit")
         assert wd.cycles > base.cycles
+
+    def test_more_l1_mshrs_speed_up_the_storm(self):
+        wl = MICRO.fresh("mshr-storm")
+        _, few = simulate(wl, config=GPUConfig().with_(l1_mshrs=8))
+        _, many = simulate(wl, config=GPUConfig().with_(l1_mshrs=64))
+        assert many.cycles < few.cycles
 
 
 class TestDivergenceTree:

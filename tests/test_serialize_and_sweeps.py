@@ -1,4 +1,4 @@
-"""Trace serialization round-trips and the sweep utilities."""
+"""Kernel and trace serialization round-trips and a scheme sweep."""
 
 import functools
 import io
@@ -13,7 +13,6 @@ from repro.functional.serialize import (
     save_trace,
 )
 from repro.harness.chaos_campaign import architectural_digest
-from repro.harness.sweeps import sweep_config, sweep_schemes
 from repro.system import GpuSimulator
 from repro.workloads import MICRO, get_workload
 
@@ -122,21 +121,16 @@ class TestTraceRoundtrip:
 
 
 class TestSweeps:
-    def test_sweep_config_mshrs(self):
-        table = sweep_config(
-            "mshr-storm", scheme="baseline", field="l1_mshrs",
-            values=[8, 64],
-        )
-        row = table.rows["mshr-storm"]
-        assert row[0] == 1.0  # normalized to first point
-        assert row[1] > 1.0  # more MSHRs help the storm
-
-    def test_sweep_unknown_field(self):
-        with pytest.raises(ValueError, match="no field"):
-            sweep_config("saxpy", "baseline", "warp_drive", [1])
-
     def test_sweep_schemes(self):
-        table = sweep_schemes("stream-sum")
-        row = table.rows["stream-sum"]
+        wl = get_workload("stream-sum")
+        cycles = [
+            GpuSimulator(
+                wl.kernel, wl.trace(), wl.make_address_space(),
+                scheme=make_scheme(name), paging="premapped",
+            ).run().cycles
+            for name in ("baseline", "wd-commit", "wd-lastcheck",
+                         "replay-queue")
+        ]
+        row = [cycles[0] / c for c in cycles]
         assert row[0] == 1.0
         assert all(0.3 < v <= 1.05 for v in row)
