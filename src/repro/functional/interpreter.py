@@ -15,6 +15,7 @@ an entry whose pc reaches its reconvergence pc is popped.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -331,8 +332,9 @@ class Interpreter:
     ):
         """Apply ``inst``'s semantics for lanes in ``mask``.
 
-        Returns the tuple of byte addresses accessed (memory instructions
-        with at least one active lane) or ``None``.
+        Returns the byte addresses accessed, one per active lane, as an
+        int64 ``array`` (memory instructions with at least one active
+        lane) or ``None``.
 
         Dispatch runs on a per-static-instruction execution plan
         (:func:`_plan`: a small kind integer plus the resolved ufunc),
@@ -366,34 +368,26 @@ class Interpreter:
             return None
         if kind == _K_LD:
             mem = self.memory if inst.op is Opcode.LD_GLOBAL else shared
-            base = self._read(srcs[0], warp)
-            addrs = self._lane_addresses(base, inst, mask)
-            if addrs:
-                width = inst.width
-                try:
-                    vals = mem.load_many(addrs, width)
-                except AttributeError:
-                    vals = [mem.load(a, width) for a in addrs]
+            addrs = self._lane_addresses(self._read(srcs[0], warp), inst, mask)
+            if addrs.size:
+                vals = mem.load_many(addrs, inst.width)
                 if mask is _FULL_MASK:
-                    warp.regs[:, inst.dest.index] = vals
+                    regs[:, inst.dest.index] = vals
                 else:
-                    warp.regs[mask, inst.dest.index] = vals
-                return tuple(addrs)
+                    regs[mask, inst.dest.index] = vals
+                return array("q", addrs.tobytes())
             return None
         if kind == _K_ST:
             mem = self.memory if inst.op is Opcode.ST_GLOBAL else shared
             base = self._read(srcs[0], warp)
             value = _warp_f64(self._read(srcs[1], warp))
             addrs = self._lane_addresses(base, inst, mask)
-            if addrs:
-                width = inst.width
-                vals = (value if mask is _FULL_MASK else value[mask]).tolist()
-                try:
-                    mem.store_many(addrs, vals, width)
-                except AttributeError:
-                    for addr, v in zip(addrs, vals):
-                        mem.store(addr, v, width)
-                return tuple(addrs)
+            if addrs.size:
+                mem.store_many(
+                    addrs, value if mask is _FULL_MASK else value[mask],
+                    inst.width,
+                )
+                return array("q", addrs.tobytes())
             return None
         if kind == _K_SFU:
             a = self._read(srcs[0], warp)
@@ -433,37 +427,36 @@ class Interpreter:
             return None
         if kind == _K_ATOM:
             base = self._read(srcs[0], warp)
-            value = _warp_f64(self._read(srcs[1], warp))
+            value = self._read(srcs[1], warp)
             addrs = self._lane_addresses(base, inst, mask)
-            atom = inst.atom or "add"
-            vals = (value if mask is _FULL_MASK else value[mask]).tolist()
-            olds = [
-                self.memory.atomic(addr, atom, v)
-                for addr, v in zip(addrs, vals)
-            ]
-            if inst.dest is not None and addrs:
+            if not addrs.size:
+                return None
+            olds = self.memory.atomic_many(
+                addrs, inst.atom or "add",
+                _lane_floats(value, mask, addrs.size),
+            )
+            if inst.dest is not None:
                 if mask is _FULL_MASK:
-                    warp.regs[:, inst.dest.index] = olds
+                    regs[:, inst.dest.index] = olds
                 else:
-                    warp.regs[mask, inst.dest.index] = olds
-            return tuple(addrs) if addrs else None
+                    regs[mask, inst.dest.index] = olds
+            return array("q", addrs.tobytes())
         if kind == _K_MALLOC:
             if self.heap is None:
                 raise FunctionalError("MALLOC executed but no device heap attached")
-            size = self._read(srcs[0], warp)
-            size = np.broadcast_to(np.asarray(size, dtype=float), (WARP_SIZE,))
-            ptrs = warp.regs[:, inst.dest.index].copy()
-            for lane in np.flatnonzero(mask):
-                ptrs[lane] = self.heap.malloc(warp.global_warp_id, int(size[lane]))
-            warp.regs[:, inst.dest.index] = ptrs
+            lanes = np.flatnonzero(mask)
+            sizes = _lane_floats(self._read(srcs[0], warp), mask, lanes.size)
+            regs[lanes, inst.dest.index] = self.heap.malloc_many(
+                warp.global_warp_id, [int(s) for s in sizes]
+            )
             return None
         if kind == _K_FREE:
             if self.heap is None:
                 raise FunctionalError("FREE executed but no device heap attached")
-            ptr = self._read(srcs[0], warp)
-            ptr = np.broadcast_to(np.asarray(ptr, dtype=float), (WARP_SIZE,))
-            for lane in np.flatnonzero(mask):
-                self.heap.free(warp.global_warp_id, int(ptr[lane]))
+            ptrs = _lane_floats(
+                self._read(srcs[0], warp), mask, int(np.count_nonzero(mask))
+            )
+            self.heap.free_many(warp.global_warp_id, [int(p) for p in ptrs])
             return None
         if kind == _K_TRAP:
             if mask.any():
@@ -475,12 +468,17 @@ class Interpreter:
             return None
         raise FunctionalError(f"unimplemented opcode {inst.op}")
 
-    def _lane_addresses(self, base, inst: Instruction, mask: np.ndarray) -> list:
-        # truncation toward zero, exactly like the per-lane int() it replaces
+    def _lane_addresses(self, base, inst: Instruction,
+                        mask: np.ndarray) -> np.ndarray:
+        """The active lanes' byte addresses as an int64 vector.
+
+        Truncation toward zero, exactly like the per-lane ``int()`` it
+        replaced."""
         arr = _warp_f64(base)
         if mask is not _FULL_MASK:
             arr = arr[mask]
-        return (arr.astype(np.int64) + inst.offset).tolist()
+        addrs = arr.astype(np.int64)
+        return addrs + inst.offset if inst.offset else addrs
 
 
 _INT_BINOPS = {
@@ -527,6 +525,17 @@ def _warp_f64(val) -> np.ndarray:
     if type(val) is np.ndarray and val.dtype == _F64 and val.shape == _WSHAPE:
         return val
     return np.broadcast_to(np.asarray(val, dtype=float), _WSHAPE)
+
+
+def _lane_floats(val, mask: np.ndarray, lanes: int) -> list:
+    """The active lanes' values of operand ``val`` as Python floats.
+
+    A scalar operand (an immediate, a parameter) repeats without the
+    numpy broadcast :func:`_warp_f64` pays for; the values are the same."""
+    if type(val) is not np.ndarray:
+        return [float(val)] * lanes
+    vec = _warp_f64(val)
+    return (vec if mask is _FULL_MASK else vec[mask]).tolist()
 
 
 # Execution-plan kinds.  ``_plan`` classifies a static instruction once —

@@ -10,7 +10,8 @@ per-warp dynamic streams reference them by pc.
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, List, Union
+from array import array
+from typing import IO, Dict, Union
 
 from repro.isa import Imm, Instruction, Kernel, Opcode, Param, Pred, Reg, Special, SReg
 
@@ -130,7 +131,9 @@ def save_trace(trace: KernelTrace, kernel: Kernel, fp: Union[str, IO]) -> None:
                     {
                         "id": warp.warp_id,
                         "insts": [
-                            [t.pc, t.active, list(t.addresses or ())]
+                            [t.pc, t.active,
+                             [] if t.addresses is None
+                             else t.addresses.tolist()]
                             for t in warp.instructions
                         ],
                     }
@@ -151,7 +154,10 @@ def save_trace(trace: KernelTrace, kernel: Kernel, fp: Union[str, IO]) -> None:
 
 
 def load_trace(fp: Union[str, IO]):
-    """Load ``(kernel, trace)`` previously written by :func:`save_trace`."""
+    """Load ``(kernel, trace)`` previously written by :func:`save_trace`.
+
+    Raises :class:`ValueError` for a record whose pc is not an instruction
+    of the kernel or whose addresses are not int64 integers."""
     if isinstance(fp, str):
         with open(fp) as f:
             doc = json.load(f)
@@ -165,19 +171,29 @@ def load_trace(fp: Union[str, IO]):
         grid_dim=doc["grid_dim"],
         block_dim=doc["block_dim"],
     )
+    # keyed by pc, so a pc outside the kernel fails the lookup instead of
+    # wrapping around the end of the list as a negative index would
+    program = dict(enumerate(kernel.instructions))
     for bdoc in doc["blocks"]:
         block = BlockTrace(block_id=bdoc["id"])
         for wdoc in bdoc["warps"]:
-            warp = WarpTrace(warp_id=wdoc["id"])
-            for pc, active, addrs in wdoc["insts"]:
-                warp.append(
-                    TraceInst(
-                        pc=pc,
-                        inst=kernel.instructions[pc],
-                        active=active,
-                        addresses=tuple(addrs) if addrs else None,
-                    )
-                )
-            block.warps.append(warp)
+            try:
+                insts = [
+                    TraceInst(pc, program[pc], active,
+                              array("q", addrs) if addrs else None)
+                    for pc, active, addrs in wdoc["insts"]
+                ]
+            except KeyError as exc:
+                raise ValueError(
+                    f"block {bdoc['id']} warp {wdoc['id']}: pc {exc.args[0]!r}"
+                    f" is not an instruction of {kernel.name!r}"
+                ) from None
+            except (TypeError, OverflowError) as exc:
+                # array('q') takes only integers that fit in 64 bits
+                raise ValueError(
+                    f"block {bdoc['id']} warp {wdoc['id']}: malformed record"
+                    f" ({exc})"
+                ) from None
+            block.warps.append(WarpTrace(wdoc["id"], insts))
         trace.blocks.append(block)
     return kernel, trace

@@ -186,9 +186,15 @@ def validate_checkpoint(data, key: str, config_hash: str) -> Optional[str]:
         from .results import ExperimentTable
 
         try:
-            ExperimentTable.from_dict(data["table"])
+            table = ExperimentTable.from_dict(data["table"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             return f"table does not parse ({exc})"
+        for label, values in table.rows.items():
+            for value in values:
+                # a bool is an int to isinstance, but no measurement
+                if isinstance(value, bool) or not isinstance(value,
+                                                             (int, float)):
+                    return f"row {label!r} holds a non-number {value!r}"
     elif not isinstance(data.get("failure"), dict):
         return "failed checkpoint without a failure record"
     elif not isinstance(data["failure"].get("attempts", 1), int):

@@ -61,30 +61,47 @@ class DeviceHeap:
 
     def malloc(self, arena_id: int, size: int) -> int:
         """Allocate ``size`` bytes from ``arena_id``'s arena; returns VA."""
-        if size <= 0:
-            raise ValueError("allocation size must be positive")
+        return self.malloc_many(arena_id, (size,))[0]
+
+    def malloc_many(self, arena_id: int, sizes) -> List[int]:
+        """Allocate each of ``sizes`` in order from one arena (a warp's
+        MALLOC, one size per active lane); returns the VAs.  A failing
+        request raises with the earlier ones still allocated."""
         arena = self._arenas[arena_id % len(self._arenas)]
-        cls = _size_class(size)
-        free = arena.free_lists.get(cls)
-        if free:
-            addr = free.pop()
-        else:
-            if arena.cursor + cls > arena.size:
-                raise HeapExhausted(
-                    f"arena {arena_id}: {cls}B request, "
-                    f"{arena.size - arena.cursor}B left"
-                )
-            addr = arena.base + arena.cursor
-            arena.cursor += cls
-        arena.live[addr] = cls
-        return addr
+        free_lists, live = arena.free_lists, arena.live
+        addrs = []
+        for size in sizes:
+            if size <= 0:
+                raise ValueError("allocation size must be positive")
+            cls = _size_class(size)
+            free = free_lists.get(cls)
+            if free:
+                addr = free.pop()
+            else:
+                if arena.cursor + cls > arena.size:
+                    raise HeapExhausted(
+                        f"arena {arena_id}: {cls}B request, "
+                        f"{arena.size - arena.cursor}B left"
+                    )
+                addr = arena.base + arena.cursor
+                arena.cursor += cls
+            live[addr] = cls
+            addrs.append(addr)
+        return addrs
 
     def free(self, arena_id: int, addr: int) -> None:
+        self.free_many(arena_id, (addr,))
+
+    def free_many(self, arena_id: int, addrs) -> None:
+        """Free each of ``addrs`` in order (a warp's FREE); a bad address
+        raises with the earlier ones already freed."""
         arena = self._arenas[arena_id % len(self._arenas)]
-        cls = arena.live.pop(addr, None)
-        if cls is None:
-            raise ValueError(f"free of unallocated address {addr:#x}")
-        arena.free_lists.setdefault(cls, []).append(addr)
+        free_lists, live = arena.free_lists, arena.live
+        for addr in addrs:
+            cls = live.pop(addr, None)
+            if cls is None:
+                raise ValueError(f"free of unallocated address {addr:#x}")
+            free_lists.setdefault(cls, []).append(addr)
 
     def bytes_live(self) -> int:
         return sum(sum(a.live.values()) for a in self._arenas)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.functional import Interpreter, Launch, KernelTrace
 from repro.isa import Kernel
-from repro.vm import AddressSpace, DeviceHeap, SparseMemory
+from repro.vm import AddressSpace, DeviceHeap, SegmentKind, SparseMemory
 
 
 class Workload:
@@ -103,31 +103,32 @@ class Workload:
             params=self.params(aspace),
         )
 
+    def _run(self) -> tuple:
+        """One functional execution: ``(trace, final memory)``.
+
+        Every segment but the heap gets a dense memory image
+        (docs/PERFORMANCE.md): heap touches are sparse, a few words per
+        64-byte chunk, and stay on the word dict."""
+        aspace = self.make_address_space()
+        memory = SparseMemory(
+            [s for s in aspace.segments() if s.kind != SegmentKind.HEAP]
+        )
+        self.init_memory(memory, aspace)
+        interp = Interpreter(
+            memory=memory, address_space=aspace, heap=self.make_heap(aspace)
+        )
+        return interp.run(self.make_launch(aspace)), memory
+
     def trace(self) -> KernelTrace:
         """The dynamic trace (functional execution), computed once."""
         if self._trace is None:
-            aspace = self.make_address_space()
-            memory = SparseMemory()
-            self.init_memory(memory, aspace)
-            interp = Interpreter(
-                memory=memory,
-                address_space=aspace,
-                heap=self.make_heap(aspace),
-            )
-            self._trace = interp.run(self.make_launch(aspace))
+            self._trace = self._run()[0]
         return self._trace
 
     def run_functional(self) -> SparseMemory:
         """Execute functionally and return the resulting memory (used by
         correctness tests and examples)."""
-        aspace = self.make_address_space()
-        memory = SparseMemory()
-        self.init_memory(memory, aspace)
-        interp = Interpreter(
-            memory=memory, address_space=aspace, heap=self.make_heap(aspace)
-        )
-        interp.run(self.make_launch(aspace))
-        return memory
+        return self._run()[1]
 
     def __repr__(self) -> str:
         return (

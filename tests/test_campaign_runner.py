@@ -301,6 +301,20 @@ class TestCheckpointResume:
                                 echo=lambda _: None).run()
         assert result.completed == [cells[0].key]
 
+    def test_non_numeric_row_checkpoint_reexecutes(self, tmp_path):
+        out = str(tmp_path / "camp")
+        cells = self._cells(1)
+        runner = CampaignRunner(cells, out_dir=out, echo=lambda _: None)
+        runner.run()
+        path = runner.campaign.checkpoint_path(cells[0])
+        data = store.read_json(path)
+        data["table"]["rows"]["c0"] = ["fast"]
+        store.write_json(path, data, compress=True)
+        result = CampaignRunner(cells, out_dir=out, resume=True,
+                                echo=lambda _: None).run()
+        assert result.completed == [cells[0].key]
+        assert result.tables["g"].rows["c0"] == [1.0]
+
     def test_manifest_and_counters_written(self, tmp_path):
         out = str(tmp_path / "camp")
         result = CampaignRunner(self._cells(2), out_dir=out,

@@ -354,12 +354,17 @@ class TestLeaseStealAndDedup:
         ("/upload", lambda c: {"checkpoint": {
             **c, "table": {**c["table"], "rows": [1.0]}}}),
         ("/upload", lambda c: {"checkpoint": {
+            **c, "table": {**c["table"], "rows": {"cell-000": ["fast"]}}}}),
+        ("/upload", lambda c: {"checkpoint": {
+            **c, "table": {**c["table"], "rows": {"cell-000": [True]}}}}),
+        ("/upload", lambda c: {"checkpoint": {
             **c, "status": "failed", "table": None,
             "failure": {"kind": "ChildCrash", "attempts": "three"}}}),
         ("/heartbeat", lambda c: {"keys": 5}),
         ("/heartbeat", lambda c: {"keys": [["x"]]}),
     ], ids=["upload-key-list", "upload-attempt-str", "upload-ledger-str",
             "upload-duration-str", "upload-table-rows-list",
+            "upload-table-row-str", "upload-table-row-bool",
             "upload-failure-attempts-str", "heartbeat-keys-int",
             "heartbeat-keys-nested"])
     def test_malformed_request_answered_400(self, tmp_path, path, body):

@@ -382,7 +382,7 @@ class TestTrace:
             if t.op is Opcode.LD_GLOBAL
         ]
         assert len(loads) == 1
-        assert loads[0].addresses == tuple(0x4000 + 4 * i for i in range(32))
+        assert loads[0].addresses.tolist() == [0x4000 + 4 * i for i in range(32)]
         assert loads[0].active == 32
 
     def test_trace_counts(self):

@@ -2,6 +2,8 @@
 
 import functools
 import io
+import json
+from array import array
 
 import pytest
 
@@ -118,6 +120,42 @@ class TestTraceRoundtrip:
         buf = io.StringIO('{"version": 99}')
         with pytest.raises(ValueError, match="format"):
             load_trace(buf)
+
+    def test_resave_is_byte_identical(self):
+        kernel, trace = _reloaded("saxpy")
+        loads = [t for w in trace.blocks[0].warps for t in w.instructions
+                 if t.addresses is not None]
+        assert loads and all(
+            isinstance(t.addresses, array) and t.addresses.typecode == "q"
+            for t in loads)
+        wl = get_workload("saxpy")
+        first, again = io.StringIO(), io.StringIO()
+        save_trace(wl.trace(), wl.kernel, first)
+        save_trace(trace, kernel, again)
+        assert again.getvalue() == first.getvalue()
+
+    @staticmethod
+    def _doc(name):
+        wl = get_workload(name)
+        buf = io.StringIO()
+        save_trace(wl.trace(), wl.kernel, buf)
+        return json.loads(buf.getvalue())
+
+    @pytest.mark.parametrize("pc", [-1, "len"])
+    def test_pc_outside_kernel_rejected(self, pc):
+        doc = self._doc("saxpy")
+        if pc == "len":
+            pc = len(doc["kernel"]["instructions"])
+        doc["blocks"][0]["warps"][0]["insts"][0][0] = pc
+        with pytest.raises(ValueError, match="not an instruction"):
+            load_trace(io.StringIO(json.dumps(doc)))
+
+    def test_non_integer_address_rejected(self):
+        doc = self._doc("saxpy")
+        rec = next(r for r in doc["blocks"][0]["warps"][0]["insts"] if r[2])
+        rec[2][0] = "x"
+        with pytest.raises(ValueError, match="malformed record"):
+            load_trace(io.StringIO(json.dumps(doc)))
 
 
 class TestSweeps:

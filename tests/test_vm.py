@@ -200,6 +200,24 @@ class TestDeviceHeap:
         with pytest.raises(HeapExhausted):
             heap.malloc(0, 128)
 
+    def test_warp_calls_match_lane_by_lane_calls(self):
+        one, warp = (DeviceHeap(base=0, size=1 << 14, num_arenas=2)
+                     for _ in range(2))
+        sizes = [16, 100, 16, 3000]
+        addrs = warp.malloc_many(1, sizes)
+        assert addrs == [one.malloc(1, s) for s in sizes]
+        warp.free_many(1, addrs[:2])
+        for a in addrs[:2]:
+            one.free(1, a)
+        assert warp.malloc_many(1, [16, 100]) == [one.malloc(1, 16),
+                                                  one.malloc(1, 100)]
+
+    def test_exhaustion_mid_warp_keeps_earlier_lanes(self):
+        heap = DeviceHeap(base=0, size=256, num_arenas=1)
+        with pytest.raises(HeapExhausted):
+            heap.malloc_many(0, [128, 128, 128, 16])
+        assert heap.bytes_live() == 256
+
     def test_bad_free_rejected(self):
         heap = DeviceHeap(base=0, size=1 << 12, num_arenas=1)
         with pytest.raises(ValueError):
