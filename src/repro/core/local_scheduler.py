@@ -17,7 +17,8 @@ configuration the paper uses to show the scheduler avoids wasteful switches.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import weakref
+from typing import Optional
 
 from repro.telemetry.events import EV_BLOCK_SWITCH_IN, EV_BLOCK_SWITCH_OUT
 from repro.timing.engine import EventQueue
@@ -35,7 +36,10 @@ class LocalScheduler:
         dram,
         ideal: bool = False,
     ) -> None:
-        self.sm = sm
+        # A weak proxy: the SM holds this scheduler, so a strong reference
+        # back would keep a finished simulator alive until a cyclic
+        # garbage collection.
+        self.sm = weakref.proxy(sm)
         self.config = config
         self.events = events
         self.dram = dram

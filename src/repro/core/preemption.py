@@ -20,6 +20,7 @@ saved off-chip under each policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -67,7 +68,8 @@ def measure_preemption_latency(
     The simulator is consumed: it is advanced to ``request_time`` and left
     there.
     """
-    _advance_to(sim, request_time)
+    sim._launch_initial()
+    sim._drive(math.inf, stop=request_time)
 
     preemptible = PreemptionReport(request_time=request_time, preemptible=True)
     stalled = PreemptionReport(request_time=request_time, preemptible=False)
@@ -93,43 +95,6 @@ def measure_preemption_latency(
         stalled.context_bytes.append(ctx)
 
     return {"preemptible": preemptible, "stall-on-fault": stalled}
-
-
-def _advance_to(sim: "GpuSimulator", stop_time: float) -> None:
-    """Advance a :class:`GpuSimulator` to ``stop_time`` (or completion)."""
-    import math
-
-    # initial batch (same breadth-first fill as GpuSimulator.run)
-    for _ in range(sim.sms[0].occupancy):
-        for sm in sim.sms:
-            if sm.free_slots > 0:
-                btrace = sim.tb_scheduler.next_block(sm.sm_id)
-                if btrace is None:
-                    break
-                sm.launch_block(btrace, 0.0)
-
-    cycle = 0.0
-    events = sim.events
-    sms = sim.sms
-    while sim.blocks_remaining > 0 and cycle < stop_time:
-        events.run_until(cycle)
-        if sim.blocks_remaining <= 0:
-            break
-        awake = False
-        for sm in sms:
-            if not sm.sleeping or sm.next_ready_cycle <= cycle:
-                sm.try_issue(cycle)
-                awake = awake or not sm.sleeping
-        if awake:
-            cycle += 1
-        else:
-            nxt = events.next_time
-            wake = min(sm.next_ready_cycle for sm in sms)
-            if nxt is None and wake == math.inf:
-                break
-            if nxt is None or wake < nxt:
-                nxt = wake
-            cycle = min(stop_time, max(cycle + 1, math.ceil(nxt)))
 
 
 def preemption_latency_experiment(

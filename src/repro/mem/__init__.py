@@ -1,7 +1,7 @@
 """Timing models of the GPU memory hierarchy (caches, TLBs, DRAM, MMU)."""
 
 from .cache import Cache, CacheStats, Dram, DramStats
-from .coalescer import CoalescedAccess, coalesce, coalesce_inst
+from .coalescer import coalesce, coalesce_inst
 from .hierarchy import AccessResult, FaultInfo, MemorySubsystem
 from .tlb import Mmu, Tlb, TlbStats, TranslationResult, WalkerPool
 
@@ -10,7 +10,6 @@ __all__ = [
     "CacheStats",
     "Dram",
     "DramStats",
-    "CoalescedAccess",
     "coalesce",
     "coalesce_inst",
     "AccessResult",

@@ -1,101 +1,84 @@
 """Memory-access coalescing unit.
 
 Part of the baseline SM (paper Figure 5): a warp memory instruction's 32 lane
-addresses are coalesced into one memory request per unique cache line.  The
-coalescer also reports the unique virtual pages, because one warp instruction
-can touch (and fault on) several pages at once — which is why the *last* TLB
-check is the earliest safe point to re-enable a disabled warp
+addresses are coalesced into one memory request per unique cache line.  A
+coalesced access is just those line indices, in first-touch order; the
+memory subsystem derives each line's page itself, because one warp
+instruction can touch (and fault on) several pages at once — which is why
+the *last* TLB check is the earliest safe point to re-enable a disabled warp
 (``wd-lastcheck``) or to release replay-queue source operands.
 
 Coalescing is a pure function of the (immutable) lane addresses, yet the
 timing simulator needs it at least twice per faulted instruction (translate +
 replay) and once per run for every dynamic memory record.  ``coalesce_inst``
-memoizes the result on the trace record itself, so repeated runs over the
-same trace — and the replay path — pay a cache hit instead of re-bucketing
-32 addresses (see docs/PERFORMANCE.md).
+memoizes the lines on the trace record itself, as one int64 buffer, so
+repeated runs over the same trace — and the replay path — pay a cache hit
+instead of re-bucketing 32 addresses (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from array import array
+from typing import Optional, Sequence, Tuple
 
 from repro.vm import CACHE_LINE_SIZE, PAGE_SHIFT
 
 
-class CoalescedAccess(NamedTuple):
-    """The coalescer's output for one warp memory instruction.
-
-    A NamedTuple (not a frozen dataclass) because one is built per dynamic
-    memory record on the simulation fast path — tuple construction runs in
-    C, while a frozen dataclass pays three ``object.__setattr__`` calls."""
-
-    lines: Tuple[int, ...]  # unique cache-line indices, in first-touch order
-    vpns: Tuple[int, ...]  # unique virtual page numbers, in first-touch order
-    line_vpns: Tuple[int, ...]  # virtual page of each entry of ``lines``
-
-    @property
-    def num_requests(self) -> int:
-        return len(self.lines)
-
-
 def coalesce(
     addresses: Sequence[int], line_size: int = CACHE_LINE_SIZE
-) -> CoalescedAccess:
-    """Coalesce lane byte addresses into unique lines and pages.
+) -> Tuple[int, ...]:
+    """Coalesce lane byte addresses into their unique cache-line indices,
+    in first-touch order (one memory request each).
 
     ``dict.fromkeys`` is the order-preserving dedupe (first-touch order,
     like the serial bucketing it replaced) with the loop run in C."""
     shift = line_size.bit_length() - 1
-    if (1 << shift) == line_size and shift <= PAGE_SHIFT:
+    if (1 << shift) == line_size:
         # One/two-line fast path: ``a >> shift`` is monotone in ``a``, so
         # min/max (which run in C) bound the whole line set.  Unit-stride
         # warps land on one or two adjacent lines; the first lane's line
         # fixes the first-touch order of the pair.
         lo = min(addresses) >> shift
         hi = max(addresses) >> shift
-        lp_shift = PAGE_SHIFT - shift
         if lo == hi:
-            vpn = lo >> lp_shift
-            return CoalescedAccess(lines=(lo,), vpns=(vpn,), line_vpns=(vpn,))
+            return (lo,)
         if hi - lo == 1:
             first = addresses[0] >> shift
-            line_tuple = (first, lo + hi - first)
-            line_vpns = (line_tuple[0] >> lp_shift, line_tuple[1] >> lp_shift)
-            vpns = (
-                line_vpns
-                if line_vpns[0] != line_vpns[1]
-                else (line_vpns[0],)
-            )
-            return CoalescedAccess(
-                lines=line_tuple, vpns=vpns, line_vpns=line_vpns
-            )
-        line_tuple = tuple(dict.fromkeys([a >> shift for a in addresses]))
-        line_vpns = tuple([ln >> lp_shift for ln in line_tuple])
-    else:
-        line_tuple = tuple(dict.fromkeys([a // line_size for a in addresses]))
-        line_vpns = tuple([(ln * line_size) >> PAGE_SHIFT for ln in line_tuple])
-    # A page's first touch is always also a new line (each line lives on
-    # exactly one page), so deduping the per-line pages preserves the
-    # first-touch page order of the raw addresses — no third address scan.
-    return CoalescedAccess(
-        lines=line_tuple,
-        vpns=tuple(dict.fromkeys(line_vpns)),
-        line_vpns=line_vpns,
-    )
+            return (first, lo + hi - first)
+        return tuple(dict.fromkeys([a >> shift for a in addresses]))
+    return tuple(dict.fromkeys([a // line_size for a in addresses]))
 
 
-def coalesce_inst(tinst, line_size: int = CACHE_LINE_SIZE) -> CoalescedAccess:
+def line_page_shift(line_size: int) -> Optional[int]:
+    """``PAGE_SHIFT - log2(line_size)`` when a line index maps to its page
+    by a right shift (a power-of-two line no larger than a page), else
+    ``None`` (the page is then ``(line * line_size) >> PAGE_SHIFT``)."""
+    shift = line_size.bit_length() - 1
+    if (1 << shift) == line_size and shift <= PAGE_SHIFT:
+        return PAGE_SHIFT - shift
+    return None
+
+
+def coalesce_inst(tinst, line_size: int = CACHE_LINE_SIZE) -> Sequence[int]:
     """Memoizing :func:`coalesce` for a trace record (``tinst.addresses``).
 
-    Safe because trace addresses are immutable after generation; the cache
-    is keyed by line size so a config change cannot serve stale data.
+    Safe because trace addresses are immutable after generation.  The
+    record keeps ``array('q', [line_size, *lines])``: the key and the
+    lines in one buffer of 8 bytes each (104 bytes for a two-line access),
+    so a run at another line size recomputes instead of reading stale
+    lines.  A hit returns the lines as a fresh list, whose ints the
+    translation and the cache walk then read without converting each
+    element again.
     """
     try:
-        cached_size, cached = tinst._coal
-        if cached_size == line_size:
-            return cached
+        cached = tinst._coal
     except AttributeError:
         pass
-    access = coalesce(tinst.addresses, line_size)
-    tinst._coal = (line_size, access)
-    return access
+    else:
+        if cached[0] == line_size:
+            lines = cached.tolist()
+            del lines[0]  # the key
+            return lines
+    lines = coalesce(tinst.addresses, line_size)
+    tinst._coal = array("q", (line_size, *lines))
+    return lines

@@ -29,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Sequence
 
+from repro.vm import PAGE_SHIFT
+
 from .cache import Cache, Dram, walk
-from .coalescer import coalesce
+from .coalescer import coalesce, line_page_shift
 from .tlb import Mmu
 
 
@@ -64,9 +66,9 @@ class TranslationOutcome(NamedTuple):
     ``ready_lines`` holds the coalesced requests whose page translated
     successfully; the data-path phase (cache/DRAM) runs at
     ``translation_done`` so shared bandwidth resources are only ever booked
-    in global time order.  A NamedTuple, like
-    :class:`~repro.mem.coalescer.CoalescedAccess`, because one is built per
-    warp access.
+    in global time order.  A NamedTuple (not a frozen dataclass) because
+    one is built per warp access: tuple construction runs in C, while a
+    frozen dataclass pays an ``object.__setattr__`` call per field.
     """
 
     translation_done: float
@@ -130,6 +132,7 @@ class MemorySubsystem:
             translate_fn=translate_fn,
         )
         self._ldst_free = [0.0] * config.num_sms
+        self._line_page_shift = line_page_shift(config.line_size)
         self.attach_telemetry(telemetry)
         self.attach_chaos(chaos)
 
@@ -182,11 +185,12 @@ class MemorySubsystem:
     def translate_access_coalesced(
         self,
         sm_id: int,
-        access,
+        lines: Sequence[int],
         is_store: bool,
         now: float,
     ) -> TranslationOutcome:
-        """Phase 1 (at operand read): translate a coalesced access.
+        """Phase 1 (at operand read): translate a coalesced access, the
+        unique line indices of :func:`repro.mem.coalescer.coalesce`.
 
         The requests stream through the per-SM LD/ST address pipeline, one
         per cycle from ``max(now, pipe free)``.  Each unique page is
@@ -198,8 +202,6 @@ class MemorySubsystem:
         slots rise with the request index.  The SM feeds memoized
         coalescing results (:func:`repro.mem.coalescer.coalesce_inst`)
         so the bucketing is not redone on every issue or replay."""
-        lines = access.lines
-        line_vpns = access.line_vpns
         nreq = len(lines)
         start0 = max(now, self._ldst_free[sm_id])
         self._ldst_free[sm_id] = start0 + nreq
@@ -207,9 +209,36 @@ class MemorySubsystem:
         # per-request check summed it (fractional times round)
         translation_done = start0 + (nreq - 1) + 1
         translate = self.mmu.translate
+        # The lines' pages, each translated at the slot of its first line.
+        # A line's page is monotone in its index, so when the lowest and
+        # the highest line share a page (nearly every access) it is the
+        # only page, first touched by request 0.  One or two lines are
+        # compared directly: min() and max() cost more than the test.
+        shift = self._line_page_shift
+        if shift is None:  # no shift maps this line size onto pages
+            size = self.config.line_size
+            line_vpns = [(line * size) >> PAGE_SHIFT for line in lines]
+        elif (
+            lines[0] >> shift == lines[-1] >> shift
+            if nreq <= 2
+            else min(lines) >> shift == max(lines) >> shift
+        ):
+            line_vpns = None
+        else:
+            line_vpns = [line >> shift for line in lines]
+        # A page's first touch is always also a new line (each line lives
+        # on exactly one page), so deduping the per-line pages gives the
+        # first-touch page order of the raw addresses.
+        if line_vpns is None:
+            pages = (lines[0] >> shift,)
+        else:
+            pages = dict.fromkeys(line_vpns)
         faults = None
-        for vpn in access.vpns:
-            result = translate(sm_id, vpn, start0 + line_vpns.index(vpn))
+        for vpn in pages:
+            slot = start0
+            if line_vpns is not None:
+                slot += line_vpns.index(vpn)
+            result = translate(sm_id, vpn, slot)
             done = result.done_time
             if done > translation_done:
                 translation_done = done
@@ -224,6 +253,8 @@ class MemorySubsystem:
                 )
         if faults is None:
             return TranslationOutcome(translation_done, lines, (), nreq)
+        if line_vpns is None:
+            return TranslationOutcome(translation_done, [], faults, nreq)
         faulted = {f.vpn for f in faults}
         ready_lines = [
             line for line, vpn in zip(lines, line_vpns) if vpn not in faulted
@@ -300,24 +331,22 @@ class MemorySubsystem:
         )
 
     def replay_after_fault_coalesced(
-        self, sm_id: int, access, resolved_time: float
+        self, sm_id: int, lines: Sequence[int], resolved_time: float
     ) -> AccessResult:
         """:meth:`replay_after_fault` for an already-coalesced access (the
         SM fast path reuses the memoized coalescing of the original issue)."""
         cfg = self.config
+        nreq = len(lines)
         # Requests re-enter the address pipeline back to back.
         last_check = (
-            resolved_time
-            + access.num_requests
-            + cfg.l2_tlb_latency
-            + cfg.walk_latency
+            resolved_time + nreq + cfg.l2_tlb_latency + cfg.walk_latency
         )
         completion = last_check + cfg.l2_latency + cfg.dram_latency
         return AccessResult(
             translation_done=last_check,
             completion=completion,
             faults=[],
-            num_requests=access.num_requests,
+            num_requests=nreq,
         )
 
     def flush(self) -> None:

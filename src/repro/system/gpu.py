@@ -125,8 +125,22 @@ class _RunLoopMixin:
             ),
         )
 
-    def _drive(self, max_cycles: float) -> None:
-        """Advance the cycle/event loop until every block has retired."""
+    def _launch_initial(self) -> None:
+        """Initial batch: breadth-first fill of every SM to occupancy, so
+        every simulator (and a stopped preemption probe) launches its
+        first blocks in the same order."""
+        for _ in range(self.sms[0].occupancy):
+            for sm in self.sms:
+                if sm.free_slots > 0:
+                    btrace = self.tb_scheduler.next_block(sm.sm_id)
+                    if btrace is None:
+                        break
+                    sm.launch_block(btrace, 0.0)
+
+    def _drive(self, max_cycles: float, stop: float = math.inf) -> None:
+        """Advance the cycle/event loop until every block has retired, or
+        until the cycle reaches ``stop``: events and issue at ``stop``
+        itself do not run, and an idle jump lands exactly on it."""
         cycle = 0.0
         events = self.events
         times = events._times  # guard: skip the run_until call when idle
@@ -139,7 +153,7 @@ class _RunLoopMixin:
             wd.reset()
             wd.observe(self._progress())  # baseline signature at cycle 0
             next_wd = wd.cycle_budget
-        while self.blocks_remaining > 0:
+        while self.blocks_remaining > 0 and cycle < stop:
             if cycle > max_cycles:
                 raise DeadlockError(f"exceeded {max_cycles:g} cycles")
             if times and times[0] <= cycle:
@@ -182,6 +196,20 @@ class _RunLoopMixin:
                 if nxt is None or wake < nxt:
                     nxt = wake
                 cycle = max(cycle + 1, math.ceil(nxt))
+                if cycle > stop:
+                    cycle = stop
+
+    def _release(self) -> None:
+        """Unwire a finished run, so that dropping the simulator frees it,
+        its SMs, blocks and warps by reference counting alone.
+
+        The SMs' ``on_block_done`` callbacks point back at the simulator,
+        and an event still queued when the last block retired holds an SM
+        whose queue holds the event.  Neither can fire again.  Statistics,
+        the address space and ``sm.local_scheduler`` stay readable."""
+        for sm in self.sms:
+            sm.release()
+        self.events.clear()
 
 
 class GpuSimulator(_RunLoopMixin):
@@ -363,16 +391,9 @@ class GpuSimulator(_RunLoopMixin):
 
     def run(self, max_cycles: float = 2e9) -> SimResult:
         """Run the launch to completion; returns the results."""
-        # Initial batch: breadth-first fill of every SM to occupancy.
-        for _ in range(self.sms[0].occupancy):
-            for sm in self.sms:
-                if sm.free_slots > 0:
-                    btrace = self.tb_scheduler.next_block(sm.sm_id)
-                    if btrace is None:
-                        break
-                    sm.launch_block(btrace, 0.0)
-
+        self._launch_initial()
         self._drive(max_cycles)
+        self._release()
         tel = self.telemetry
 
         if self.sanitizer is not None:
@@ -725,18 +746,9 @@ class MultiKernelSimulator(_RunLoopMixin):
 
     def run(self, max_cycles: float = 2e9) -> MultiKernelResult:
         """Run every launch to completion; returns the merged results."""
-        # Initial batch: breadth-first fill of every SM to occupancy —
-        # identical in shape to GpuSimulator.run so a single-kernel run
-        # through this path launches blocks in the same order.
-        for _ in range(self.sms[0].occupancy):
-            for sm in self.sms:
-                if sm.free_slots > 0:
-                    btrace = self.tb_scheduler.next_block(sm.sm_id)
-                    if btrace is None:
-                        break
-                    sm.launch_block(btrace, 0.0)
-
+        self._launch_initial()
         self._drive(max_cycles)
+        self._release()
         tel = self.telemetry
 
         if self.sanitizer is not None:

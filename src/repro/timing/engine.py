@@ -190,6 +190,13 @@ class EventQueue:
         self.processed += ran
         return total
 
+    def clear(self) -> None:
+        """Drop every pending event without running it (a finished run's
+        leftovers: their callbacks hold the SMs that hold this queue)."""
+        self._buckets.clear()
+        self._times.clear()
+        self._size = 0
+
     def drain(self) -> None:
         """Run all remaining events in time order (end-of-simulation tail).
 

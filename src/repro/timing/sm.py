@@ -394,6 +394,10 @@ class SmPipeline:
         if self.sanitizer is not None:
             self.sanitizer.check_block_retirement(self, block, time)
         block.state = BlockRT.DONE
+        # A retired block lets go of its warps: they point back at it, and
+        # nothing reads a finished block's warps, so both are freed as soon
+        # as the last queued event that holds them has fired.
+        block.warps = []
         self.blocks.remove(block)
         self.free_slots += 1
         self.stats.blocks_completed += 1
@@ -406,6 +410,13 @@ class SmPipeline:
         if self.on_block_done is not None:
             self.on_block_done(self, block, time)
         self.wake()
+
+    def release(self) -> None:
+        """Break this SM's reference cycles once the run is over: the
+        simulator's ``on_block_done`` callback, and the reference scan when
+        it is bound as an instance attribute."""
+        self.on_block_done = None
+        self.__dict__.pop("try_issue", None)
 
     def refill_slot(self, time: float) -> None:
         """Default slot refill: fetch the next pending block, if any."""
@@ -969,9 +980,9 @@ class SmPipeline:
         is_store = dec[3]
         block = warp.block
         anchor = self._anchor
-        access = coalesce_inst(tinst, self._line_size)
+        lines = coalesce_inst(tinst, self._line_size)
         outcome = self.memsys.translate_access_coalesced(
-            self.sm_id, access, is_store, now
+            self.sm_id, lines, is_store, now
         )
 
         if not outcome.faults:
@@ -1021,7 +1032,7 @@ class SmPipeline:
                 block.pending_groups.get(fo.group, 0.0), fo.resolved_time
             )
         replay = self.memsys.replay_after_fault_coalesced(
-            self.sm_id, access, resolved + REPLAY_ISSUE_COST
+            self.sm_id, lines, resolved + REPLAY_ISSUE_COST
         )
         completion = replay.completion
         last_check_ok = replay.translation_done

@@ -139,3 +139,30 @@ class TestPreemptionLatency:
         sim = self.make_sim(wl, make_scheme("replay-queue"))
         rep = measure_preemption_latency(sim, 50.0)["preemptible"]
         assert rep.mean_latency <= rep.worst_latency
+
+    # Exact reports, so that where advancing to the request time stops
+    # (events and issue at the request time itself do not run) cannot
+    # drift.  Every SM reports the same drain time and context, so each
+    # case is (preemptible drain, stall-on-fault drain, context bytes,
+    # instructions committed by the request time).
+    @pytest.mark.parametrize("name,scheme,request_time,want", [
+        ("saxpy", "replay-queue", 50.0, (50.0, 3586.0, 12416, 640)),
+        ("saxpy", "replay-queue", 250.5, (250.5, 3586.0, 12544, 640)),
+        ("saxpy", "replay-queue", 3000.0, (3000.0, 3586.0, 12416, 768)),
+        ("saxpy", "baseline", 100.0, (100.0, 3586.0, 12288, 640)),
+        ("stream-sum", "replay-queue", 1.0, (8.0, 8.0, 8192, 0)),
+        ("stream-sum", "replay-queue", 50.0, (55.0, 55.0, 8192, 448)),
+        ("stream-sum", "replay-queue", 100.0, (100.0, 2975.0, 8256, 512)),
+        ("stream-sum", "replay-queue", 3000.0, (3004.0, 3004.0, 8192, 896)),
+        ("stream-sum", "baseline", 400.0, (400.0, 2975.0, 8192, 512)),
+    ])
+    def test_reports_pinned(self, name, scheme, request_time, want):
+        sim = self.make_sim(MICRO.fresh(name), make_scheme(scheme))
+        reports = measure_preemption_latency(sim, request_time)
+        pre, stalled = reports["preemptible"], reports["stall-on-fault"]
+        n = len(sim.sms)
+        drain, stall, ctx, committed = want
+        assert pre.drain_ready == [drain] * n
+        assert stalled.drain_ready == [stall] * n
+        assert pre.context_bytes == stalled.context_bytes == [ctx] * n
+        assert sum(sm.stats.committed for sm in sim.sms) == committed

@@ -2,6 +2,7 @@
 coalescer and the composed subsystem."""
 
 import heapq
+from array import array
 from dataclasses import asdict
 
 import pytest
@@ -18,7 +19,10 @@ from repro.mem import (
     Tlb,
     WalkerPool,
     coalesce,
+    coalesce_inst,
 )
+from repro.functional.trace import TraceInst
+from repro.isa import Instruction, Opcode, R
 from repro.system import GPUConfig
 from repro.vm import CACHE_LINE_SIZE, PAGE_SHIFT
 
@@ -242,29 +246,73 @@ class TestMmu:
 class TestCoalescer:
     def test_fully_coalesced_warp(self):
         addrs = [4 * i for i in range(32)]
-        result = coalesce(addrs)
-        assert result.num_requests == 1
-        assert len(result.vpns) == 1
+        assert coalesce(addrs) == (0,)
 
     def test_width8_spans_two_lines(self):
         addrs = [8 * i for i in range(32)]
-        assert coalesce(addrs).num_requests == 2
+        assert coalesce(addrs) == (0, 1)
 
     def test_fully_scattered(self):
         addrs = [CACHE_LINE_SIZE * 7 * i for i in range(32)]
-        assert coalesce(addrs).num_requests == 32
+        assert coalesce(addrs) == tuple(7 * i for i in range(32))
 
     def test_preserves_first_touch_order(self):
-        result = coalesce([300, 10, 600])
-        assert result.lines == (2, 0, 4)
+        assert coalesce([300, 10, 600]) == (2, 0, 4)
+
+    def test_descending_pair_keeps_first_lane_first(self):
+        assert coalesce([4 * (47 - i) for i in range(32)]) == (1, 0)
 
     @given(st.lists(st.integers(0, 2**30), min_size=1, max_size=32))
     @settings(max_examples=100)
     def test_bounds(self, addrs):
-        result = coalesce(addrs)
-        assert 1 <= result.num_requests <= len(addrs)
-        assert len(result.vpns) <= result.num_requests
-        assert set(result.lines) == {a // CACHE_LINE_SIZE for a in addrs}
+        lines = coalesce(addrs)
+        assert 1 <= len(lines) <= len(addrs)
+        assert len(set(lines)) == len(lines)
+        assert set(lines) == {a // CACHE_LINE_SIZE for a in addrs}
+
+
+@st.composite
+def _lane_addresses(draw):
+    """1-32 lane addresses shaped like the warp accesses that reach the
+    coalescer's different paths: strided runs, ascending or descending,
+    that stay on one line, span two or many, or straddle a page boundary,
+    with lanes repeated and shuffled; or arbitrary addresses."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 2**24), min_size=1, max_size=32))
+    page = draw(st.integers(64, 4096))
+    # start on a page boundary, just before one (straddles), or inside
+    offset = draw(st.sampled_from((0, -4, -64, -CACHE_LINE_SIZE, 1000)))
+    stride = draw(st.sampled_from((0, 4, 8, 12, 64, 132, 4096, -4, -8, -260)))
+    n = draw(st.integers(1, 32))
+    addrs = [(page << PAGE_SHIFT) + offset + i * stride for i in range(n)]
+    addrs += addrs[:draw(st.integers(0, n))]  # repeated lanes
+    if draw(st.booleans()):
+        addrs = draw(st.permutations(addrs))
+    return addrs
+
+
+class TestCoalescerCache:
+    """``coalesce_inst`` memoizes lines on the trace record: a hit must be
+    what a fresh coalesce returns, and only at the line size it was
+    filled at."""
+
+    @given(
+        addrs=_lane_addresses(),
+        sizes=st.permutations((CACHE_LINE_SIZE, 32)),
+    )
+    @settings(max_examples=200)
+    def test_cached_lines_equal_a_fresh_coalesce(self, addrs, sizes):
+        for size in (CACHE_LINE_SIZE, 32):
+            assert coalesce(addrs, size) == tuple(
+                dict.fromkeys(a // size for a in addrs)
+            )
+        rec = TraceInst(
+            pc=0, inst=Instruction(Opcode.LD_GLOBAL, dest=R(1), srcs=(R(0),)),
+            active=len(addrs), addresses=array("q", addrs),
+        )
+        first, second = sizes
+        for size in (first, first, second, second, first):
+            assert tuple(coalesce_inst(rec, size)) == coalesce(addrs, size)
 
 
 class TestMemorySubsystem:
@@ -327,10 +375,9 @@ class TestMemorySubsystem:
 # ---------------------------------------------------------------------------
 
 
-def _ref_translate(memsys, sm_id, access, is_store, now):
+def _ref_translate(memsys, sm_id, lines, is_store, now):
     """Every request checks its page in turn; a page is translated when its
     first request reaches the check slot."""
-    lines = access.lines
     start0 = max(now, memsys._ldst_free[sm_id])
     memsys._ldst_free[sm_id] = start0 + len(lines)
     page_results = {}
@@ -500,7 +547,8 @@ def _warp_accesses(draw):
     return accesses
 
 
-def _memory_path_run(program, accesses, mapped_at, chaos_seed):
+def _memory_path_run(program, accesses, mapped_at, chaos_seed,
+                     config=_SMALL):
     """Drive one fresh subsystem through ``accesses`` with the program's
     memory path or the reference; returns what each access reported and
     the state every level is left in."""
@@ -508,7 +556,7 @@ def _memory_path_run(program, accesses, mapped_at, chaos_seed):
     if chaos_seed is not None:
         engine = ChaosEngine(_MEM_CHAOS, seed=chaos_seed)
     memsys = MemorySubsystem(
-        _SMALL,
+        config,
         translate_fn=lambda vpn, t: vpn + 1 if t >= mapped_at[vpn] else None,
         chaos=engine,
     )
@@ -516,11 +564,11 @@ def _memory_path_run(program, accesses, mapped_at, chaos_seed):
     now = 0.0
     for sm_id, lines, is_store, is_atomic, gap in accesses:
         now += gap
-        access = coalesce([line * _SMALL.line_size for line in lines],
-                          _SMALL.line_size)
+        coalesced = coalesce([line * config.line_size for line in lines],
+                             config.line_size)
         if program:
             outcome = memsys.translate_access_coalesced(
-                sm_id, access, is_store, now
+                sm_id, coalesced, is_store, now
             )
             done = outcome.translation_done
             ready = list(outcome.ready_lines)
@@ -530,7 +578,7 @@ def _memory_path_run(program, accesses, mapped_at, chaos_seed):
             )
         else:
             done, ready, faults = _ref_translate(
-                memsys, sm_id, access, is_store, now
+                memsys, sm_id, coalesced, is_store, now
             )
             completion = _ref_data_access(
                 memsys, sm_id, ready, is_store, done, is_atomic
@@ -582,3 +630,22 @@ class TestMemoryPathReference:
         for i, (got, want) in enumerate(zip(log, ref_log)):
             assert got == want, f"access {i}"
         assert state == ref_state
+
+    @given(
+        accesses=_warp_accesses(),
+        mapped_at=st.lists(
+            st.sampled_from((0.0, 400.0, float("inf"))),
+            min_size=2 * _PAGES, max_size=2 * _PAGES,
+        ),
+        # a smaller power of two, and a line that does not divide a page
+        config=st.sampled_from((
+            _SMALL.with_(line_size=64),
+            _SMALL.with_(line_size=96, l1_size=1536, l2_size=1536),
+        )),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_at_other_line_sizes(
+        self, accesses, mapped_at, config
+    ):
+        ref = _memory_path_run(False, accesses, mapped_at, None, config)
+        assert _memory_path_run(True, accesses, mapped_at, None, config) == ref

@@ -50,7 +50,7 @@ class TestMshrStorm:
             for t in w.instructions
             if t.inst.info.can_fault and not t.inst.info.is_store
         ]
-        degree = [coalesce(t.addresses).num_requests for t in loads]
+        degree = [len(coalesce(t.addresses)) for t in loads]
         assert max(degree) == 32  # fully scattered warp accesses
 
     def test_mshr_stalls_observed(self):

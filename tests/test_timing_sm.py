@@ -16,6 +16,7 @@ from repro.isa import Imm, Instruction, Opcode, P, R
 from repro.mem.hierarchy import TranslationOutcome
 from repro.system import GPUConfig
 from repro.timing import EventQueue, SmPipeline
+from repro.vm import CACHE_LINE_SIZE, PAGE_SHIFT
 
 
 class StubMemSys:
@@ -26,22 +27,23 @@ class StubMemSys:
         self.data_latency = data_latency
         self.fault_vpns = set(faults)
 
-    def translate_access_coalesced(self, sm_id, access, is_store, now):
+    def translate_access_coalesced(self, sm_id, lines, is_store, now):
         from repro.mem.hierarchy import FaultInfo
 
+        line_vpns = [(line * CACHE_LINE_SIZE) >> PAGE_SHIFT for line in lines]
         faults = [
             FaultInfo(vpn=v, detect_time=now + self.check_latency, sm_id=sm_id)
-            for v in sorted(set(access.vpns) & self.fault_vpns)
+            for v in sorted(set(line_vpns) & self.fault_vpns)
         ]
-        lines = sorted(
-            line for line, vpn in zip(access.lines, access.line_vpns)
+        ready = sorted(
+            line for line, vpn in zip(lines, line_vpns)
             if vpn not in self.fault_vpns
         )
         return TranslationOutcome(
             translation_done=now + self.check_latency,
-            ready_lines=lines,
+            ready_lines=ready,
             faults=faults,
-            num_requests=len(lines) + len(faults),
+            num_requests=len(ready) + len(faults),
         )
 
     def data_access(self, sm_id, lines, is_store, now, is_atomic=False):
@@ -49,7 +51,7 @@ class StubMemSys:
             return now + 5.0
         return now + self.data_latency
 
-    def replay_after_fault_coalesced(self, sm_id, access, resolved_time):
+    def replay_after_fault_coalesced(self, sm_id, lines, resolved_time):
         from repro.mem.hierarchy import AccessResult
 
         return AccessResult(
