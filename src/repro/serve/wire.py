@@ -415,7 +415,18 @@ class ServeDaemon:
                     clean = True
                     return
                 self._ctr("frames_in").add(1)
-                self._send(handler, self._dispatch(frame))
+                reply = self._dispatch(frame)
+                try:
+                    self._send(handler, reply)
+                finally:
+                    # Only once the reply is out: ``serve`` exits when the
+                    # teardown ends, killing this (daemon) thread mid-reply.
+                    if frame.get("op") == "shutdown":
+                        threading.Thread(
+                            target=self.shutdown,
+                            kwargs={"drain": reply["draining"]},
+                            name="serve-shutdown", daemon=True,
+                        ).start()
         except FrameTooLarge as exc:
             self._ctr("oversized").add(1)
             self._try_send(handler, _error("frame-too-large", str(exc)))
@@ -579,10 +590,7 @@ class ServeDaemon:
         }
 
     def _op_shutdown(self, frame: Dict) -> Dict:
-        drain = bool(frame.get("drain", True))
-        self._draining.set()  # shed new submits immediately
-        threading.Thread(
-            target=self.shutdown, kwargs={"drain": drain},
-            name="serve-shutdown", daemon=True,
-        ).start()
-        return {"ok": True, "draining": drain}
+        """Shed new submits at once; :meth:`_handle` starts the teardown
+        after sending this reply."""
+        self._draining.set()
+        return {"ok": True, "draining": bool(frame.get("drain", True))}

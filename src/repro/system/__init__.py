@@ -20,7 +20,7 @@ from .gpu import (
     StreamKernelResult,
     StreamLaunch,
 )
-from .tb_scheduler import MultiKernelScheduler, ThreadBlockScheduler
+from .tb_scheduler import MultiKernelScheduler
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -43,5 +43,4 @@ __all__ = [
     "SimResult",
     "StreamKernelResult",
     "StreamLaunch",
-    "ThreadBlockScheduler",
 ]

@@ -1,10 +1,11 @@
 """Global thread-block scheduler (the host interface's TB dispatcher).
 
-The kernel launch is partitioned into independent thread blocks; an initial
+A kernel launch is partitioned into independent thread blocks; an initial
 batch fills every SM to its occupancy and pending blocks are handed out as
-running blocks finish (paper Sections 2.1 and 4.1).  Blocks are dispatched in
-block-id order, which reproduces the distribution sensitivity the paper
-observed for *mri-gridding*.
+running blocks finish (paper Sections 2.1 and 4.1).  Each kernel's blocks
+are dispatched in block-id order, which reproduces the distribution
+sensitivity the paper observed for *mri-gridding*.  A single-kernel launch
+is the one-stream case of :class:`MultiKernelScheduler`.
 """
 
 from __future__ import annotations
@@ -12,27 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.functional.trace import BlockTrace, KernelTrace
-
-
-class ThreadBlockScheduler:
-    """FIFO over the launch's pending thread blocks."""
-
-    def __init__(self, trace: KernelTrace) -> None:
-        self._pending: Deque[BlockTrace] = deque(trace.blocks)
-        self.total_blocks = len(trace.blocks)
-        self.dispatched = 0
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def next_block(self, sm_id: int) -> Optional[BlockTrace]:
-        """Hand the next pending block to ``sm_id`` (None when drained)."""
-        if not self._pending:
-            return None
-        self.dispatched += 1
-        return self._pending.popleft()
+from repro.functional.trace import BlockTrace
 
 
 class MultiKernelScheduler:
@@ -53,10 +34,8 @@ class MultiKernelScheduler:
     ``next_block`` prefers the home stream's current kernel and falls back
     to *stealing* from other streams' eligible kernels in stream order, so
     no SM idles while any stream still has work — the work-conserving
-    policy docs/CONCURRENCY.md documents.  The interface matches
-    :class:`ThreadBlockScheduler` (``next_block`` / ``pending`` /
-    ``dispatched``), so :class:`repro.timing.sm.SmPipeline` and the
-    use-case-1 local scheduler consume either transparently.
+    policy docs/CONCURRENCY.md documents.  The SMs and the use-case-1
+    local scheduler consume ``next_block`` and ``pending``.
     """
 
     def __init__(
@@ -114,7 +93,7 @@ class MultiKernelScheduler:
                 return
 
     # ------------------------------------------------------------------
-    # ThreadBlockScheduler-compatible surface
+    # dispatch (SmPipeline, LocalScheduler)
     # ------------------------------------------------------------------
 
     @property

@@ -138,6 +138,13 @@ class CounterRegistry:
                     (lambda s=stats, n=name: getattr(s, n)),
                 )
 
+    def freeze(self) -> None:
+        """Pin every gauge at its current value.  A finished run calls
+        this: its gauges then hold numbers instead of the simulator parts
+        they read, so the registry no longer keeps those alive."""
+        for path, fn in self._gauges.items():
+            self._gauges[path] = lambda value=fn(): value
+
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------

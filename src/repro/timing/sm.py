@@ -219,7 +219,7 @@ class SmPipeline:
         scheme,
         block_source,
         occupancy: int,
-        context_bytes_per_block: int,
+        kernel_context_bytes: Dict[int, int],
         telemetry=None,
         chaos=None,
         sanitizer=None,
@@ -231,13 +231,12 @@ class SmPipeline:
         self.memsys = memsys
         self.fault_ctl = fault_ctl
         self.scheme = scheme
-        self.block_source = block_source  # ThreadBlockScheduler-like object
+        self.block_source = block_source  # the GPU's MultiKernelScheduler
         self.occupancy = occupancy
-        self.context_bytes_per_block = context_bytes_per_block
-        # Multi-kernel runs (docs/CONCURRENCY.md) install a kernel-id ->
-        # context-bytes map so a stolen block's switch cost reflects *its*
-        # kernel's register/smem footprint; None on single-kernel runs.
-        self.kernel_context_bytes: Optional[Dict[int, int]] = None
+        # kernel id -> a block's register + shared-memory bytes, so a
+        # stolen block's switch cost reflects *its* kernel's footprint
+        # (docs/CONCURRENCY.md)
+        self.kernel_context_bytes = kernel_context_bytes
         self.free_slots = occupancy
         self.blocks: List[BlockRT] = []  # resident blocks
         self.offchip: List[BlockRT] = []  # switched-out blocks (use case 1)
@@ -353,12 +352,9 @@ class SmPipeline:
         if self.free_slots <= 0:
             raise RuntimeError(f"SM{self.sm_id}: no free block slot")
         self.free_slots -= 1
-        ctx_bytes = self.context_bytes_per_block
-        if self.kernel_context_bytes is not None:
-            ctx_bytes = self.kernel_context_bytes[btrace.kernel_id]
         block = BlockRT(
             btrace,
-            context_bytes=ctx_bytes,
+            context_bytes=self.kernel_context_bytes[btrace.kernel_id],
             log_capacity=self._log_partition,
         )
         for wtrace in btrace.warps:

@@ -10,9 +10,7 @@ from repro.system import (
     PCIE,
     US,
     GPUConfig,
-    ThreadBlockScheduler,
 )
-from repro.functional.trace import KernelTrace, BlockTrace
 
 
 class TestTable1Defaults:
@@ -115,23 +113,3 @@ class TestInterconnectBudgets:
     def test_pcie_transfer_costlier(self):
         assert PCIE.transfer_time > NVLINK.transfer_time
         assert PCIE.msg_occupancy > NVLINK.msg_occupancy
-
-
-class TestThreadBlockScheduler:
-    def make_trace(self, blocks):
-        trace = KernelTrace("k", grid_dim=blocks, block_dim=32)
-        trace.blocks = [BlockTrace(block_id=i) for i in range(blocks)]
-        return trace
-
-    def test_fifo_order(self):
-        sched = ThreadBlockScheduler(self.make_trace(4))
-        ids = [sched.next_block(0).block_id for _ in range(4)]
-        assert ids == [0, 1, 2, 3]
-
-    def test_drains_to_none(self):
-        sched = ThreadBlockScheduler(self.make_trace(1))
-        assert sched.pending == 1
-        sched.next_block(0)
-        assert sched.pending == 0
-        assert sched.next_block(0) is None
-        assert sched.dispatched == 1

@@ -5,8 +5,8 @@ caller drops it: a campaign cell or serve child runs several simulations
 over one trace, and cyclic garbage would stack each run's SMs, blocks and
 warps on the next until a full collection (docs/PERFORMANCE.md, "Host
 memory of a simulation cell").  The tests switch the cyclic collector
-off, with telemetry, chaos and the sanitizer left off too, so whatever
-reference counting leaves behind stays visible.
+off, with chaos and the sanitizer left off too and telemetry on in one
+test only, so whatever reference counting leaves behind stays visible.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ from repro.core import make_scheme
 from repro.core.preemption import measure_preemption_latency
 from repro.mem import coalesce, coalesce_inst
 from repro.system import GPUConfig, GpuSimulator, MultiKernelSimulator, NVLINK
+from repro.telemetry import Telemetry
 from repro.timing.sm import BlockRT, WarpRT
 from repro.workloads import MICRO
 from repro.workloads.halloc import AllocCycle
@@ -103,6 +104,24 @@ class TestSelfFreeing:
             result = sim.run()
             assert sum(getattr(s, exercised) for s in result.sm_stats) > 0
             del sim, result
+            assert _cyclic_repro_garbage() == Counter()
+
+    def test_finished_traced_simulator_is_freed_by_refcounting(self):
+        """Telemetry on: the registry's gauges read the SMs, the fault
+        controller and the simulator, yet dropping the run frees them all,
+        and the counters read afterwards are the run's final values."""
+        wl = MICRO.fresh("saxpy")
+        trace = wl.trace()
+        with _no_cyclic_gc():
+            tel = Telemetry()
+            sim = _gpu_sim(wl, trace, scheme=make_scheme("replay-queue"),
+                           paging="demand", telemetry=tel)
+            result = sim.run()
+            assert result.fault_stats.faults_raised > 0
+            final = tel.counters.samples[-1][1]
+            del sim, result
+            assert tel.counters.snapshot() == final
+            del tel, final
             assert _cyclic_repro_garbage() == Counter()
 
     def test_finished_multi_kernel_simulator_is_freed_by_refcounting(self):

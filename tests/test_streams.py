@@ -17,9 +17,48 @@ from repro.workloads import MICRO, get_stream_scenario
 
 TS = 8.0  # keep the µs-range fault constants small (DEFAULT_TIME_SCALE)
 
+#: ``overlap_digest`` of each stream scenario's overlapped run on the
+#: default config, per SM-assignment policy.  The golden digests pin
+#: one-launch runs only; these pin two-launch runs: the scheduler's home
+#: streams, the per-kernel bookkeeping and the merged fault queue.
+OVERLAP_PINS = {
+    ("contention", "partition"):
+        "b119e70318ba6902a9aeb35ce5ee7b3800b171dec8bdc47a8fd7cd7b85d95797",
+    ("contention", "interleave"):
+        "a2a0aadb9d30a354e173d02358ac6e2331e42999a32aeaeed451315caa021711",
+    ("mixed", "partition"):
+        "853c0aad3037178e27e542f0533f4a128c01fcc4a7ae8c2a03931cf9a99129cb",
+    ("mixed", "interleave"):
+        "65bd57e4cd4a32baab64d43c3f6520cb3eeb84c31172440a9d336517b76ee1a1",
+}
+
+#: the same scenarios on 2 SMs x 2 block slots with replay-queue block
+#: switching, where blocks switch out and SMs steal across streams (on
+#: the default config neither happens): (digest, switch-outs, stolen)
+SWITCHING_PINS = {
+    "contention": (
+        "b07f69f52da4f5aa24c33a6874a14e3c693a9a45718d4df43c2a1b77a31e06fb",
+        30, 2,
+    ),
+    "mixed": (
+        "89f98356c23100e0b01df7d104952a7b705edd071fd97519c53536047b2e6f66",
+        4, 6,
+    ),
+}
+
 
 def _block(block_id, kernel_id):
     return BlockTrace(block_id=block_id, warps=[], kernel_id=kernel_id)
+
+
+def _overlapped(name, policy="partition", config=None, block_switching=False):
+    """One synchronize of stream scenario ``name``, one stream per kernel."""
+    dev = GpuDevice(config=config, scheme="replay-queue",
+                    block_switching=block_switching, time_scale=TS)
+    for spec in get_stream_scenario(name).build(dev):
+        dev.create_stream().launch(spec.kernel, grid=spec.grid,
+                                   block=spec.block, args=spec.args)
+    return dev.synchronize(policy=policy)
 
 
 def _thrash_specs(device, count=2):
@@ -83,6 +122,26 @@ class TestMultiKernelScheduler:
         assert sched.stolen == 1
         assert sched.pending_for(0) == 1
 
+    def _one_stream(self, blocks):
+        """A single-kernel launch: one stream holding one kernel."""
+        return MultiKernelScheduler(
+            [[0]], {0: [_block(i, 0) for i in range(blocks)]}, num_sms=4
+        )
+
+    def test_one_stream_fifo_order(self):
+        sched = self._one_stream(4)
+        ids = [sched.next_block(sm).block_id for sm in (0, 3, 1, 0)]
+        assert ids == [0, 1, 2, 3]
+
+    def test_one_stream_drains_to_none(self):
+        sched = self._one_stream(1)
+        assert sched.pending == 1
+        sched.next_block(0)
+        assert sched.pending == 0
+        assert sched.next_block(0) is None
+        assert sched.dispatched == 1
+        assert sched.stolen == 0
+
     def test_drained_returns_none(self):
         sched = self._sched()
         got = [sched.next_block(0).kernel_id for _ in range(5)]
@@ -120,6 +179,22 @@ class TestSingleStreamEquivalence:
         ]
         assert handle.done and handle.cycles == merged.kernels[0].cycles
         assert dev_b.read(out2, 4) == dev_a.read(out, 4)
+
+
+class TestOverlapPins:
+    @pytest.mark.parametrize("name,policy", list(OVERLAP_PINS))
+    def test_overlapped_digest_pinned(self, name, policy):
+        digest = overlap_digest(_overlapped(name, policy))
+        assert digest == OVERLAP_PINS[name, policy]
+
+    @pytest.mark.parametrize("name", list(SWITCHING_PINS))
+    def test_switching_digest_pinned(self, name):
+        res = _overlapped(name, config=GPUConfig(num_sms=2, max_tbs_per_sm=2),
+                          block_switching=True)
+        digest, switch_outs, stolen = SWITCHING_PINS[name]
+        assert sum(s.block_switch_outs for s in res.sm_stats) == switch_outs
+        assert res.stolen_blocks == stolen
+        assert overlap_digest(res) == digest
 
 
 class TestDeterminism:

@@ -107,7 +107,7 @@ def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4,
         scheme=scheme or BaselineStallOnFault(),
         block_source=StubBlockSource(),
         occupancy=occupancy,
-        context_bytes_per_block=1024,
+        kernel_context_bytes={0: 1024},
         **kwargs,
     )
     btrace = BlockTrace(block_id=0)

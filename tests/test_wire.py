@@ -319,6 +319,42 @@ class TestShutdown:
             time.sleep(0.05)
         assert not alive, f"threads survived shutdown: {alive}"
 
+    def test_reply_is_on_the_wire_before_teardown_starts(self, tmp_path):
+        """``python -m repro.harness serve`` exits as soon as teardown
+        ends, which kills the handler thread: the shutdown reply must be
+        written before teardown begins.  The reply write waits up to 1 s
+        for teardown to start; in the right order it never does."""
+        service = GpuService(isolated=False, executor=stub_executor)
+        daemon = ServeDaemon(service, path=str(tmp_path / "s.sock"))
+        started = threading.Event()
+        replies, waits = [], []
+        teardown, op_shutdown, send = (
+            daemon.shutdown, daemon._op_shutdown, daemon._send
+        )
+
+        def traced_teardown(drain=True):
+            started.set()
+            teardown(drain=drain)
+
+        def traced_op_shutdown(frame):
+            replies.append(op_shutdown(frame))
+            return replies[-1]
+
+        def traced_send(handler, payload):
+            if any(payload is r for r in replies):
+                waits.append(started.wait(1.0))
+            send(handler, payload)
+
+        daemon.shutdown = traced_teardown
+        daemon._op_shutdown = traced_op_shutdown
+        daemon._send = traced_send
+        daemon.start()
+        with ServeClient(daemon.address) as client:
+            assert client.shutdown(drain=True)["draining"] is True
+        assert waits == [False], "teardown started before the reply"
+        assert daemon.join(timeout=10.0), "daemon did not stop"
+        assert started.is_set()
+
     def test_shutdown_without_drain_cancels(self, tmp_path, gate):
         service = GpuService(
             isolated=False, max_attempts=2, executor=stub_executor
