@@ -134,6 +134,7 @@ def preemption_latency_experiment(
     )
     request_time = total * request_fraction
     reports = measure_preemption_latency(sim, request_time)
+    sim._release()  # stopped mid-run: unwire it so refcounting frees it
     return {
         "preemptible": reports["preemptible"].worst_latency,
         "stall-on-fault": reports["stall-on-fault"].worst_latency,

@@ -24,7 +24,7 @@ from .experiments import (
 )
 from .isolation import (
     ExperimentFailure,
-    process_isolation_available,
+    RetryPolicy,
     run_experiment_isolated,
 )
 from .results import ExperimentTable, geomean, merge_tables
@@ -50,12 +50,12 @@ __all__ = [
     "DEFAULT_CAMPAIGN_SCHEMES",
     "DEFAULT_TIME_SCALE",
     "ExperimentFailure",
+    "RetryPolicy",
     "TRANSIENT_KINDS",
     "architectural_digest",
     "build_all_cells",
     "build_chaos_cells",
     "merge_tables",
-    "process_isolation_available",
     "run_chaos_campaign",
     "run_stream_chaos_campaign",
     "run_experiment_isolated",

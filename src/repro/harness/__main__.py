@@ -28,9 +28,9 @@ writes a Chrome ``trace_event`` JSON (open in chrome://tracing / Perfetto)
 plus a hierarchical counter dump — see docs/OBSERVABILITY.md.
 
 The ``chaos`` subcommand runs a seeded fault-injection campaign with the
-watchdog and invariant sanitizer enabled — see docs/ROBUSTNESS.md.  With
-``--workloads``/``--seeds`` it becomes a sharded soak campaign executed
-by the parallel runner.
+watchdog and invariant sanitizer enabled — see docs/ROBUSTNESS.md.  It
+is a campaign too: ``chaos <workload> --seed N`` is the one-cell soak
+``chaos --workloads <workload> --seeds N``.
 
 Experiments run as a campaign of crash-isolated shards (see
 :mod:`repro.harness.runner` and :mod:`repro.harness.isolation`): a
@@ -45,6 +45,7 @@ and the harness exits nonzero when any shard failed.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from . import (
@@ -53,24 +54,7 @@ from . import (
     run_table1,
 )
 from .diagrams import render_all
-from .isolation import ExperimentFailure, run_experiment_isolated
 from .runner import CampaignRunner, build_all_cells
-
-#: every dispatchable subcommand — tools/check_doc_links.py parses this
-#: tuple (textually, no import) to reject docs naming unknown subcommands
-SUBCOMMANDS = (
-    "trace",
-    "chaos",
-    "golden",
-    "streams",
-    "hotloop",
-    "figures",
-    "serve",
-    "serve-bench",
-    "mc",
-    "worker",
-    "dist-bench",
-)
 
 
 def _trace_main(argv) -> int:
@@ -326,16 +310,12 @@ def _chaos_soak(args, parser) -> int:
 
 
 def _chaos_main(argv) -> int:
-    """The ``chaos`` subcommand: one seeded fault-injection campaign, or —
-    with ``--workloads``/``--seeds`` — a sharded soak campaign run by the
-    parallel campaign runner."""
+    """The ``chaos`` subcommand: a sharded soak campaign run by the
+    parallel campaign runner — one cell per ``--workloads`` x
+    ``--seeds`` pair, or the one cell of ``<workload> --seed N``."""
     from repro.system import PAGING_MODES
 
-    from .chaos_campaign import (
-        DEFAULT_CAMPAIGN_SCHEMES,
-        build_chaos_cells,
-        run_chaos_campaign,
-    )
+    from .chaos_campaign import DEFAULT_CAMPAIGN_SCHEMES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness chaos",
@@ -388,51 +368,18 @@ def _chaos_main(argv) -> int:
     parser.add_argument("--cycle-budget", type=float, default=None,
                         help="watchdog no-progress window in cycles")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="wall-clock timeout in seconds for the whole "
-                             "campaign (runs crash-isolated)")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="retries with a fresh seed after a watchdog "
-                             "trip (SimulationHang); soak mode uses "
-                             "--max-attempts instead")
+                        help="wall-clock timeout in seconds per shard "
+                             "(runs crash-isolated)")
     _add_campaign_flags(parser)
     args = parser.parse_args(argv)
 
-    if args.workloads is not None:
-        return _chaos_soak(args, parser)
-    if args.workload is None:
-        parser.error("a workload (or --workloads for soak mode) is required")
-
-    kwargs = dict(
-        workload=args.workload,
-        seed=args.seed,
-        schemes=tuple(args.schemes),
-        paging=args.paging,
-        interconnect=args.interconnect,
-        time_scale=args.time_scale,
-        intensity=args.intensity,
-        cycle_budget=args.cycle_budget,
-    )
-    outcome = run_experiment_isolated(
-        name=f"chaos:{args.workload}",
-        fn=run_chaos_campaign,
-        kwargs=kwargs,
-        timeout=args.timeout,
-        retries=args.retries,
-        reseed=lambda attempt, kw: {
-            **kw, "seed": kw["seed"] + 1000 * attempt
-        },
-    )
-    if isinstance(outcome, ExperimentFailure):
-        print(outcome.render(), file=sys.stderr)
-        return 1
-    print(outcome.render(fmt="{:.1f}"))
-    if outcome.rows and "seed" in outcome.description:
-        seed_used = outcome.description.split("seed=")[1].split()[0]
-        if int(seed_used) != args.seed:
-            print(f"  note: retried with fresh seed {seed_used} after a "
-                  "watchdog trip")
-    clean = all(row[-1] == 1.0 for row in outcome.rows.values())
-    return 0 if clean else 1
+    if args.workloads is None:
+        if args.workload is None:
+            parser.error(
+                "a workload (or --workloads for soak mode) is required"
+            )
+        args.workloads, args.seeds = [args.workload], [args.seed]
+    return _chaos_soak(args, parser)
 
 
 def _streams_main(argv) -> int:
@@ -938,42 +885,37 @@ def _mc_main(argv) -> int:
     return 0 if ok else 1
 
 
+#: every dispatchable subcommand and its handler, ``main(argv)`` of the
+#: rest of the command line; a string names the module (relative to
+#: this package) whose ``main`` is imported on use.
+#: tools/check_doc_links.py parses the keys (textually, no import) to
+#: reject docs naming unknown subcommands.
+SUBCOMMANDS = {
+    "trace": _trace_main,
+    "chaos": _chaos_main,
+    "golden": _golden_main,
+    "streams": _streams_main,
+    "hotloop": ".hotloop_bench",
+    "figures": ".figures",
+    "serve": _serve_main,
+    "serve-bench": ".serve_bench",
+    "mc": _mc_main,
+    "worker": _worker_main,
+    "dist-bench": ".dist_bench",
+}
+
+
 def main(argv=None) -> int:
-    """Dispatch to an experiment runner or the ``trace`` / ``chaos`` /
-    ``golden`` subcommand; returns the process exit code (nonzero when
-    any experiment failed)."""
+    """Dispatch to a subcommand of :data:`SUBCOMMANDS` or an experiment
+    runner; returns the process exit code (nonzero when any experiment
+    failed)."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_main(argv[1:])
-    if argv and argv[0] == "golden":
-        return _golden_main(argv[1:])
-    if argv and argv[0] == "streams":
-        return _streams_main(argv[1:])
-    if argv and argv[0] == "hotloop":
-        from .hotloop_bench import main as hotloop_main
-
-        return hotloop_main(argv[1:])
-    if argv and argv[0] == "figures":
-        from .figures import main as figures_main
-
-        return figures_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "serve-bench":
-        from .serve_bench import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "mc":
-        return _mc_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return _worker_main(argv[1:])
-    if argv and argv[0] == "dist-bench":
-        from .dist_bench import main as dist_bench_main
-
-        return dist_bench_main(argv[1:])
+    handler = SUBCOMMANDS.get(argv[0]) if argv else None
+    if isinstance(handler, str):
+        handler = importlib.import_module(handler, __package__).main
+    if handler is not None:
+        return handler(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",

@@ -55,6 +55,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -69,6 +70,7 @@ from .distproto import (
     post_json,
     read_request_json,
 )
+from .isolation import RetryPolicy
 from .runner import (
     Campaign,
     CampaignCell,
@@ -87,6 +89,15 @@ DEFAULT_LEASE_S = 15.0
 #: consecutive failed heartbeats before a worker declares the
 #: coordinator lost, cancels its in-flight cells and exits (code 3)
 HEARTBEAT_MISS_BUDGET = 3
+
+#: a worker's checkpoint upload: 3 attempts, 0.2 s and then 0.4 s apart;
+#: the third failure means the coordinator is lost
+UPLOAD_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.2)
+
+#: a worker's join handshake: 8 attempts, 0.2 s apart doubling to at
+#: most 2 s (the coordinator may still be binding its port)
+HANDSHAKE_RETRY = RetryPolicy(max_attempts=8, backoff_base=0.2,
+                              backoff_cap=2.0)
 
 #: worker exit codes (the coordinator-crash test asserts these)
 EXIT_OK = 0
@@ -194,8 +205,8 @@ class CampaignCoordinator:
         for leaf in DIST_COUNTER_LEAVES:
             self.counters.counter(f"harness.dist.{leaf}")
         self.policy = ExecutionPolicy(
-            timeout=timeout, max_attempts=max_attempts,
-            backoff_base=backoff_base, backoff_cap=backoff_cap,
+            timeout=timeout,
+            retry=RetryPolicy(max_attempts, backoff_base, backoff_cap),
         )
         self.lease_seconds = lease_seconds
         self.host = host
@@ -216,12 +227,15 @@ class CampaignCoordinator:
 
     def describe(self) -> Dict:
         """``GET /campaign``: the handshake payload."""
+        retry = self.policy.retry
         return {
             "protocol": PROTOCOL_VERSION,
             "lease_seconds": self.lease_seconds,
             "policy": {
-                name: getattr(self.policy, name) for name in
-                ("timeout", "max_attempts", "backoff_base", "backoff_cap")
+                "timeout": self.policy.timeout,
+                "max_attempts": retry.max_attempts,
+                "backoff_base": retry.backoff_base,
+                "backoff_cap": retry.backoff_cap,
             },
             "cells": len(self.cells),
             "done": len(self.campaign.outcomes),
@@ -448,7 +462,8 @@ class DistWorker:
         #: key -> cancel event of the in-flight cell (heartbeat thread
         #: fires the event when the coordinator reports the lease gone)
         self._held: Dict[str, threading.Event] = {}
-        self._policy: Dict = {}
+        #: the coordinator's execution policy, set by the handshake
+        self._policy = ExecutionPolicy()
         self.lease_seconds = DEFAULT_LEASE_S
 
     # -- plumbing ----------------------------------------------------------
@@ -524,34 +539,23 @@ class DistWorker:
 
     def _execute(self, cell: CampaignCell, adaptive: Optional[float],
                  cancel: threading.Event) -> CellOutcome:
-        policy = ExecutionPolicy(
-            timeout=self._policy.get("timeout"),
-            adaptive_timeout=adaptive,
-            max_attempts=int(self._policy.get("max_attempts", 3)),
-            backoff_base=float(self._policy.get("backoff_base", 0.5)),
-            backoff_cap=float(self._policy.get("backoff_cap", 30.0)),
-            cancel=cancel,
-        )
-        return execute_cell(cell, policy)
+        return execute_cell(cell, replace(
+            self._policy, adaptive_timeout=adaptive, cancel=cancel,
+        ))
 
     def _upload(self, outcome: CellOutcome) -> bool:
         payload = {
             "worker": self.name,
             "checkpoint": store.build_checkpoint(outcome),
         }
-        delay = 0.2
-        for attempt in range(1, 4):
+        for attempt in UPLOAD_RETRY.attempts():
             payload["upload_attempt"] = attempt
             try:
                 status, body = post_json(
                     f"{self.url}/upload", payload, timeout=30.0
                 )
             except OSError as exc:
-                if attempt == 3:
-                    self._coordinator_lost(f"upload failed 3x: {exc}")
-                    return False
-                time.sleep(delay)
-                delay *= 2
+                error = exc
                 continue
             if status == 200:
                 return True
@@ -562,6 +566,9 @@ class DistWorker:
                 f"refused ({status}: {body.get('error')})"
             )
             return False
+        self._coordinator_lost(
+            f"upload failed {UPLOAD_RETRY.max_attempts}x: {error}"
+        )
         return False
 
     def _supervisor(self) -> None:
@@ -617,15 +624,13 @@ class DistWorker:
     def run(self) -> int:
         """Work the queue until the coordinator reports the matrix done
         (exit 0) or becomes unreachable (exit 3)."""
-        delay = 0.2
         handshake = None
-        for attempt in range(8):  # the coordinator may still be binding
+        for _ in HANDSHAKE_RETRY.attempts():
             try:
                 handshake = get_json(f"{self.url}/campaign", timeout=10.0)
                 break
             except OSError:
-                time.sleep(delay)
-                delay = min(2.0, delay * 2)
+                continue
         if handshake is None:
             self._echo(
                 f"[worker {self.name}] no coordinator at {self.url}"
@@ -636,7 +641,15 @@ class DistWorker:
         except ProtocolError as exc:
             self._echo(f"[worker {self.name}] {exc}")
             return EXIT_PROTOCOL
-        self._policy = dict(handshake.get("policy") or {})
+        policy = handshake.get("policy") or {}
+        self._policy = ExecutionPolicy(
+            timeout=policy.get("timeout"),
+            retry=RetryPolicy(
+                max_attempts=int(policy.get("max_attempts", 3)),
+                backoff_base=float(policy.get("backoff_base", 0.5)),
+                backoff_cap=float(policy.get("backoff_cap", 30.0)),
+            ),
+        )
         self.lease_seconds = float(
             handshake.get("lease_seconds", DEFAULT_LEASE_S)
         )

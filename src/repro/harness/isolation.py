@@ -1,9 +1,10 @@
-"""Crash isolation for harness experiments.
+"""Crash isolation for harness experiments, and the retry rule its
+callers share.
 
 ``python -m repro.harness all`` runs many independent simulations; one
 wedged or crashing experiment must not take the whole campaign down.
-:func:`run_experiment_isolated` executes one experiment function in a
-forked child process with
+:func:`run_experiment_isolated` executes one attempt of an experiment
+function in a forked child process with
 
 - a **wall-clock timeout**: a child that outlives it is terminated and
   reported as a timeout instead of hanging the harness forever;
@@ -11,12 +12,13 @@ forked child process with
   :class:`repro.chaos.SimulationHang` and
   :class:`repro.chaos.InvariantViolation`) comes back as a picklable
   :class:`ExperimentFailure` carrying the exception type, message and
-  traceback text;
-- **bounded retry with a fresh seed**: when the child failed with a
-  watchdog trip (``SimulationHang``) and the caller supplied a
-  ``reseed`` hook, the experiment is retried up to ``retries`` times
-  with reseeded keyword arguments — the chaos campaign's escape hatch
-  from a seed that genuinely wedges the simulation.
+  traceback text.
+
+Whether a failed attempt is tried again is the caller's loop, and every
+such loop takes its decisions from a :class:`RetryPolicy`: which failure
+kinds retry (:data:`TRANSIENT_KINDS`), how long to wait before the next
+attempt, and which seed the next attempt runs with.  The campaign
+runner, the fleet worker and both serve shells each build one.
 
 Results cross the process boundary over a ``multiprocessing`` pipe, so
 experiment functions must return picklable values
@@ -24,9 +26,7 @@ experiment functions must return picklable values
 without the ``fork`` start method the child uses ``spawn`` instead —
 slower to start, but timeouts stay enforceable by killing the child
 (the experiment function must then be an importable module-level
-callable, which every harness experiment is).  Only when *neither*
-start method exists does the experiment run in-process, where failures
-are still captured but a timeout cannot be enforced.
+callable, which every harness experiment is).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 #: pipe-poll slice when a supervisor supplied a cancel event: the child
 #: stays killable within this latency even mid-timeout
@@ -46,8 +46,63 @@ POLL_SLICE_S = 0.05
 #: ``ChildCrash`` and the watchdog's ``SimulationHang``: they depend on
 #: scheduling/load, not on the inputs (a crash or invariant violation
 #: is deterministic under the same inputs and retrying it only burns
-#: time).  The campaign runner and the serve shell both retry on it.
+#: time).  :meth:`RetryPolicy.retries` is the one reader.
 TRANSIENT_KINDS = frozenset({"Timeout", "SimulationHang", "ChildCrash"})
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """The one retry rule of the harness and serve layers.
+
+    A failed attempt gets another one when its kind is transient
+    (:data:`TRANSIENT_KINDS`) and fewer than ``max_attempts`` attempts
+    have run.  The wait before attempt ``n + 1`` is
+    ``min(backoff_cap, backoff_base * 2**(n - 1))`` (no cap when
+    ``backoff_cap`` is None), in whatever unit the owner keeps time:
+    seconds, or simulated cycles in the virtual-time serve shell.
+    Only a ``SimulationHang`` changes the next attempt's inputs: a hang
+    is usually specific to one injection schedule, so an int ``seed``
+    is bumped by ``1000 * n``.  Every other retry reruns the same
+    inputs, so its result is the one the caller asked for.
+    """
+
+    max_attempts: int
+    backoff_base: float
+    backoff_cap: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+
+    def retries(self, kind: str, attempt: int) -> bool:
+        """True when attempt ``attempt``, failed with ``kind``, gets
+        another attempt."""
+        return kind in TRANSIENT_KINDS and attempt < self.max_attempts
+
+    def delay(self, attempt: int) -> float:
+        """The wait between attempt ``attempt`` and the next one."""
+        delay = self.backoff_base * 2 ** (attempt - 1)
+        if self.backoff_cap is None:
+            return delay
+        return min(self.backoff_cap, delay)
+
+    def next_kwargs(self, kind: str, attempt: int, kwargs: Dict) -> Dict:
+        """The inputs of the attempt after attempt ``attempt`` failed
+        with ``kind``: reseeded after a hang, else ``kwargs`` itself."""
+        seed = kwargs.get("seed")
+        if kind == "SimulationHang" and isinstance(seed, int):
+            return {**kwargs, "seed": seed + 1000 * attempt}
+        return kwargs
+
+    def attempts(self) -> Iterator[int]:
+        """Attempt numbers ``1..max_attempts``, sleeping :meth:`delay`
+        seconds between two of them — for a caller that retries every
+        failure it catches (the fleet worker's network calls); after
+        the last attempt it does not sleep."""
+        for attempt in range(1, self.max_attempts + 1):
+            if attempt > 1:
+                time.sleep(self.delay(attempt - 1))
+            yield attempt
 
 
 @dataclass
@@ -87,48 +142,47 @@ def _child_main(conn, fn, args, kwargs):
 
 
 def _exec_context():
-    """The best multiprocessing context for crash isolation: ``fork``
-    where available (cheap, inherits loaded state), else ``spawn`` — so a
-    wall-clock timeout is still enforceable by terminating the child.
-    ``None`` only when the platform offers neither start method."""
-    for method in ("fork", "spawn"):
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError:
-            continue
-    return None  # pragma: no cover - no start method at all
+    """The multiprocessing context for crash isolation: ``fork`` where
+    available (cheap, inherits loaded state), else ``spawn``, which
+    every platform CPython supports — so a wall-clock timeout is always
+    enforceable by terminating the child."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return multiprocessing.get_context("spawn")
 
 
-def process_isolation_available() -> bool:
-    """True when experiments can run in a killable child process (some
-    multiprocessing start method exists).  The campaign runner degrades
-    to serial in-process execution when this is False."""
-    return _exec_context() is not None
-
-
-def _run_once(
+def run_experiment_isolated(
+    name: str,
     fn: Callable,
-    args: Tuple,
-    kwargs: Dict,
-    timeout: Optional[float],
+    args: Tuple = (),
+    kwargs: Optional[Dict] = None,
+    timeout: Optional[float] = None,
     cancel: Optional[threading.Event] = None,
-) -> Tuple[str, object, str, str]:
-    """One attempt; returns ``(status, result, message, tb)`` where status
-    is ``"ok"``, ``"error"``, ``"timeout"`` or ``"cancelled"`` (result
-    holds the error's type name for ``"error"``)."""
+):
+    """Run one attempt of ``fn(*args, **kwargs)`` crash-isolated;
+    returns the result or an :class:`ExperimentFailure`.
+
+    ``cancel``, when supplied, is polled while the child runs: a fired
+    event terminates the child and returns a ``Cancelled`` failure
+    immediately (distributed workers cancel in-flight cells whose lease
+    was lost).
+    """
+    kwargs = dict(kwargs or {})
     ctx = _exec_context()
-    if ctx is None:  # pragma: no cover - no start method: in-process
-        try:
-            return ("ok", fn(*args, **kwargs), "", "")
-        except BaseException as exc:  # noqa: BLE001
-            return ("error", type(exc).__name__, str(exc),
-                    traceback.format_exc())
     parent_conn, child_conn = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_child_main, args=(child_conn, fn, args, kwargs), daemon=True
     )
     proc.start()
     child_conn.close()
+
+    def failure(kind: str, message: str, tb: str = "") -> ExperimentFailure:
+        return ExperimentFailure(
+            name=name, kind=kind, message=message, traceback_text=tb,
+            kwargs=kwargs,
+        )
+
     if cancel is None:
         ready = parent_conn.poll(timeout)
     else:
@@ -144,9 +198,9 @@ def _run_once(
                 proc.terminate()
                 proc.join()
                 parent_conn.close()
-                return (
-                    "cancelled", "Cancelled",
-                    "cancelled by supervisor (lease lost or shutdown)", "",
+                return failure(
+                    "Cancelled",
+                    "cancelled by supervisor (lease lost or shutdown)",
                 )
             remaining = (
                 POLL_SLICE_S if deadline is None
@@ -161,81 +215,19 @@ def _run_once(
         proc.terminate()
         proc.join()
         parent_conn.close()
-        return (
-            "timeout", "Timeout",
-            f"exceeded {timeout:g}s wall-clock timeout", "",
-        )
+        return failure("Timeout", f"exceeded {timeout:g}s wall-clock timeout")
     try:
         payload = parent_conn.recv()
     except EOFError:
         proc.join()
         parent_conn.close()
-        code = proc.exitcode
-        return (
-            "error", "ChildCrash",
-            f"experiment process died with exit code {code}", "",
+        return failure(
+            "ChildCrash",
+            f"experiment process died with exit code {proc.exitcode}",
         )
     proc.join()
     parent_conn.close()
     if payload[0] == "ok":
-        return ("ok", payload[1], "", "")
+        return payload[1]
     _, kind, message, tb = payload
-    return ("error", kind, message, tb)
-
-
-def run_experiment_isolated(
-    name: str,
-    fn: Callable,
-    args: Tuple = (),
-    kwargs: Optional[Dict] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    reseed: Optional[Callable[[int, Dict], Dict]] = None,
-    cancel: Optional[threading.Event] = None,
-):
-    """Run ``fn(*args, **kwargs)`` crash-isolated; returns the result or
-    an :class:`ExperimentFailure`.
-
-    ``retries`` bounds *additional* attempts after a ``SimulationHang``
-    failure; each retry's kwargs come from ``reseed(attempt, kwargs)``
-    (typically bumping a ``seed`` argument).  Other failure kinds —
-    crashes, invariant violations, timeouts — are never retried: they are
-    deterministic under the same inputs or indicate a harness-level
-    problem a fresh seed cannot fix.
-
-    ``cancel``, when supplied, is polled while the child runs: a fired
-    event terminates the child and returns a ``Cancelled`` failure
-    immediately (distributed workers cancel in-flight cells whose lease
-    was lost).  ``Cancelled`` is never retried.
-    """
-    kwargs = dict(kwargs or {})
-    attempts = 0
-    while True:
-        attempts += 1
-        status, result, message, tb = _run_once(
-            fn, args, kwargs, timeout, cancel
-        )
-        if status == "ok":
-            return result
-        retryable = (
-            status == "error"
-            and result == "SimulationHang"
-            and reseed is not None
-            and attempts <= retries
-        )
-        if not retryable:
-            if status == "error":
-                kind = result
-            elif status == "cancelled":
-                kind = "Cancelled"
-            else:
-                kind = "Timeout"
-            return ExperimentFailure(
-                name=name,
-                kind=kind,
-                message=message,
-                traceback_text=tb,
-                attempts=attempts,
-                kwargs=kwargs,
-            )
-        kwargs = reseed(attempts, kwargs)
+    return failure(kind, message, tb)

@@ -19,21 +19,22 @@ Both book, persist, resume and merge through this one code path.
 **Sharding.**  :func:`build_all_cells` cuts every experiment along its
 workload axis (see :func:`repro.harness.experiments.experiment_workloads`)
 into :class:`CampaignCell`\\ s, and :class:`CampaignRunner` executes them
-on ``workers`` supervisor threads.  Each cell runs through the
-crash-isolated machinery (:func:`repro.harness.isolation.run_experiment_isolated`:
+on ``workers`` supervisor threads.  Each attempt of a cell runs through
+the crash-isolated machinery (:func:`repro.harness.isolation.run_experiment_isolated`:
 child process, wall-clock timeout, structured failures), so the "pool"
 is really N threads each baby-sitting one killable child at a time —
 unlike a ``ProcessPoolExecutor``, a hung cell can be terminated without
 tearing the whole pool down.
 
-**Retry with backoff.**  Transient failure kinds (``Timeout``,
-``SimulationHang``, ``ChildCrash`` — see ``TRANSIENT_KINDS``) are
-retried up to ``max_attempts`` with exponential backoff
-(``backoff_base * 2**(attempt-1)``, capped at ``backoff_cap``); hangs
-are additionally reseeded (``seed + 1000*attempt``, the chaos CLI's
-convention) when the cell's kwargs carry a ``seed``.  Deterministic
-failure kinds (crashes, invariant violations) fail fast.  Every attempt
-lands in the cell's *attempt ledger*, persisted with the checkpoint.
+**Retry with backoff.**  :func:`execute_cell` takes its retry decisions
+from the policy's :class:`~repro.harness.isolation.RetryPolicy`:
+transient failure kinds (``Timeout``, ``SimulationHang``,
+``ChildCrash``) are retried up to ``max_attempts`` with exponential
+backoff (``backoff_base * 2**(attempt-1)``, capped at ``backoff_cap``),
+and hangs are additionally reseeded (``seed + 1000*attempt``) when the
+cell's kwargs carry an int ``seed``.  Deterministic failure kinds
+(crashes, invariant violations) fail fast.  Every attempt lands in the
+cell's *attempt ledger*, persisted with the checkpoint.
 
 **Checkpoints and resume.**  With an ``out_dir``, every finished cell
 writes a content-addressed checkpoint (``cells/<key>.<config-hash>.json``
@@ -62,11 +63,10 @@ and its results and are byte-identical across run shapes, while
 (``harness.campaign.*``, ``harness.dist.*``) that legitimately vary
 with worker count and placement.
 
-**Graceful degradation.**  A platform without any multiprocessing start
-method, or a worker-pool setup failure, degrades the local driver to
-the serial single-supervisor path with a logged warning — the campaign
-completes either way (``harness.campaign.degraded`` records that it
-happened).
+**Graceful degradation.**  A worker-pool setup failure degrades
+:class:`CampaignRunner` to the serial single-supervisor path with a
+logged warning — the campaign completes either way
+(``harness.campaign.degraded`` records that it happened).
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ from .experiments import (
     experiment_workloads,
 )
 from .hashing import content_hash
-from .isolation import (
+from .isolation import (  # noqa: F401 - TRANSIENT_KINDS is re-exported
     TRANSIENT_KINDS,
     ExperimentFailure,
-    process_isolation_available,
+    RetryPolicy,
     run_experiment_isolated,
 )
 from .results import ExperimentTable, merge_tables
@@ -223,23 +223,19 @@ class ExecutionPolicy:
 
     ``timeout`` is the campaign-level wall-clock cap; ``adaptive_timeout``
     the history-derived starting allowance (doubled on each timeout
-    retry, never past ``timeout``).  ``cancel``, when set, abandons the
-    in-flight attempt (child terminated) and returns a
-    ``CANCELLED_KIND`` outcome instead of retrying.
+    retry, never past ``timeout``).  ``retry`` decides which failures
+    retry, the backoff before each retry and the reseed.  ``cancel``,
+    when set, abandons the in-flight attempt (child terminated) and
+    returns a ``CANCELLED_KIND`` outcome instead of retrying.
     """
 
     timeout: Optional[float] = None
     adaptive_timeout: Optional[float] = None
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    backoff_cap: float = 30.0
+    retry: RetryPolicy = RetryPolicy(
+        max_attempts=3, backoff_base=0.5, backoff_cap=30.0
+    )
     sleep: Callable[[float], None] = time.sleep
     cancel: Optional[threading.Event] = None
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry number ``attempt + 1`` (exponential,
-        capped)."""
-        return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
 def execute_cell(cell: CampaignCell, policy: ExecutionPolicy) -> CellOutcome:
@@ -247,6 +243,7 @@ def execute_cell(cell: CampaignCell, policy: ExecutionPolicy) -> CellOutcome:
     attempts, transient retries with backoff, hang reseeding, adaptive
     timeout escalation.  Returns the outcome with its full attempt
     ledger (never raises)."""
+    retry = policy.retry
     ledger: List[Dict] = []
     kwargs = dict(cell.kwargs)
     started = time.time()
@@ -254,7 +251,9 @@ def execute_cell(cell: CampaignCell, policy: ExecutionPolicy) -> CellOutcome:
     table: Optional[ExperimentTable] = None
     adaptive = policy.adaptive_timeout
     timeout = adaptive if adaptive is not None else policy.timeout
-    for attempt in range(1, policy.max_attempts + 1):
+    attempt = 0
+    while True:
+        attempt += 1
         if policy.cancel is not None and policy.cancel.is_set():
             failure = ExperimentFailure(
                 name=cell.key, kind=CANCELLED_KIND,
@@ -274,9 +273,8 @@ def execute_cell(cell: CampaignCell, policy: ExecutionPolicy) -> CellOutcome:
         failure = outcome
         if outcome.kind == CANCELLED_KIND:
             break  # abandoned, not failed: no ledger entry, no retry
-        transient = outcome.kind in TRANSIENT_KINDS
-        final = (attempt == policy.max_attempts) or not transient
-        delay = 0.0 if final else policy.backoff(attempt)
+        final = not retry.retries(outcome.kind, attempt)
+        delay = 0.0 if final else retry.delay(attempt)
         entry = {
             "attempt": attempt,
             "status": "failed",
@@ -286,26 +284,22 @@ def execute_cell(cell: CampaignCell, policy: ExecutionPolicy) -> CellOutcome:
         }
         if adaptive is not None:
             entry["timeout_s"] = round(timeout, 3)
-        if (
-            not final
-            and outcome.kind == "Timeout"
-            and adaptive is not None
-        ):
+        if final:
+            ledger.append(entry)
+            failure.attempts = attempt
+            break
+        if outcome.kind == "Timeout" and adaptive is not None:
             # An adaptive timeout that fired may simply have been too
             # tight (machine load, cold caches): double the allowance
             # for the retry, never past the campaign-level timeout.
             timeout = timeout * 2.0
             if policy.timeout is not None:
                 timeout = min(timeout, policy.timeout)
-        if not final and outcome.kind == "SimulationHang" and isinstance(
-            kwargs.get("seed"), int
-        ):
-            kwargs = {**kwargs, "seed": kwargs["seed"] + 1000 * attempt}
+        fresh = retry.next_kwargs(outcome.kind, attempt, kwargs)
+        if fresh is not kwargs:
+            kwargs = fresh
             entry["reseeded"] = kwargs["seed"]
         ledger.append(entry)
-        if final:
-            failure.attempts = attempt
-            break
         if delay:
             policy.sleep(delay)
     return CellOutcome(
@@ -835,8 +829,7 @@ class CampaignRunner:
         sleep: Callable[[float], None] = time.sleep,
         echo: Callable[[str], None] = _default_echo,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        retry = RetryPolicy(max_attempts, backoff_base, backoff_cap)
         workers = resolve_workers(workers, echo)
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -845,10 +838,8 @@ class CampaignRunner:
             adaptive_timeout=adaptive_timeout, workers=workers, echo=echo,
         )
         self.workers = workers
-        self.policy = ExecutionPolicy(
-            timeout=timeout, max_attempts=max_attempts,
-            backoff_base=backoff_base, backoff_cap=backoff_cap, sleep=sleep,
-        )
+        self.policy = ExecutionPolicy(timeout=timeout, retry=retry,
+                                      sleep=sleep)
         self.keep_going = keep_going
         self._echo = echo
         self._stop = threading.Event()
@@ -886,17 +877,11 @@ class CampaignRunner:
         :class:`CampaignResult` (never raises for cell failures — they
         are data, reported in ``failures``)."""
         self.campaign.open()
-        workers = self.workers
-        if workers > 1 and not process_isolation_available():
-            self._degrade(
-                "no multiprocessing start method on this platform"
-            )
-            workers = 1
         pending = len(self.campaign.cells) - len(self.campaign.outcomes)
-        if workers > 1 and pending:
+        if self.workers > 1 and pending:
             threads: List[threading.Thread] = []
             try:
-                for i in range(min(workers, pending)):
+                for i in range(min(self.workers, pending)):
                     thread = threading.Thread(
                         target=self._supervise,
                         args=(f"worker-{i}",),

@@ -48,11 +48,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.chaos import SimulationHang
 from repro.chaos.watchdog import DEFAULT_CYCLE_BUDGET
 from repro.harness.hashing import content_hash
+from repro.harness.isolation import RetryPolicy
 
 from .cache import PartitionedResultCache
 from .core import ServeRejection, ServiceCore, TenantPolicy
 from .executor import execute_request
-from .service import reseeded
 
 #: time scale the serving benchmarks run the micro workloads at
 SERVE_TIME_SCALE = 8.0
@@ -226,8 +226,8 @@ class VirtualTimeDriver:
         self.cache = cache if cache is not None else PartitionedResultCache()
         self.core.attach_cache(self.cache)
         self.num_gpus = num_gpus
-        self.max_attempts = max_attempts
-        self.backoff_cycles = backoff_cycles
+        #: the asyncio shell's retry rule, with backoff in cycles
+        self.retry = RetryPolicy(max_attempts, backoff_cycles)
         #: grant freed GPUs in the core's weighted-fair DRR order; the
         #: False path is the legacy global FIFO, kept as the measured
         #: counterfactual in the fairness experiment
@@ -273,13 +273,15 @@ class VirtualTimeDriver:
                 job.value = value
                 return
             total += outcome[1]
-            if attempts >= self.max_attempts:
+            if not self.retry.retries("SimulationHang", attempts):
                 job.cycles = total
                 job.attempts = attempts
                 job.hang = True
                 return
-            total += self.backoff_cycles * 2 ** (attempts - 1)
-            spec = reseeded(spec, attempts)
+            total += self.retry.delay(attempts)
+            spec = self.retry.next_kwargs(
+                "SimulationHang", attempts, {"seed": 0, **spec}
+            )
 
     # -- event loop -----------------------------------------------------
 
@@ -418,8 +420,8 @@ class VirtualTimeDriver:
             "label": label,
             "num_gpus": self.num_gpus,
             "fair": self.fair,
-            "max_attempts": self.max_attempts,
-            "backoff_cycles": self.backoff_cycles,
+            "max_attempts": self.retry.max_attempts,
+            "backoff_cycles": self.retry.backoff_base,
             "makespan_cycles": makespan,
             "unique_specs_simulated": len(self._memo),
             "cache": self.cache.stats(),

@@ -18,11 +18,14 @@ call per kernel request:
    it to every later one, whose child decodes it instead of running
    the functional interpreter.  The interpreter never runs in the
    service process (docs/SERVING.md "Trace hand-off");
-3. **retry with backoff** — transient failures
-   (:data:`repro.harness.isolation.TRANSIENT_KINDS`: ``SimulationHang``,
-   ``Timeout``, ``ChildCrash``) are retried up to ``max_attempts`` with
-   exponential backoff and the runner's ``seed + 1000*attempt`` reseed
-   rule; deterministic failures are returned immediately;
+3. **retry with backoff** — the campaign runner's rule, from one
+   :class:`~repro.harness.isolation.RetryPolicy`: transient failures
+   (``SimulationHang``, ``Timeout``, ``ChildCrash``) are retried up to
+   ``max_attempts`` with exponential backoff; only a hang retry is
+   reseeded (``seed + 1000*attempt``, a spec without a seed counting as
+   the executor's seed 0), so any other retry runs — and caches — the
+   spec the client sent; deterministic failures are returned
+   immediately;
 4. **accounting** — completions feed the tenant's latency reservoir and
    fault budget, failures its hang budget; either may trip the breaker
    and quarantine the tenant without touching anyone else's in-flight
@@ -44,7 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.chaos.watchdog import DEFAULT_CYCLE_BUDGET
 from repro.harness.isolation import (
-    TRANSIENT_KINDS, ExperimentFailure, run_experiment_isolated,
+    ExperimentFailure, RetryPolicy, run_experiment_isolated,
 )
 
 from .cache import PartitionedResultCache
@@ -71,13 +74,6 @@ class ServeResult:
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-
-def reseeded(spec: Dict, attempt: int) -> Dict:
-    """The campaign runner's reseed rule applied to a submission spec."""
-    fresh = dict(spec)
-    fresh["seed"] = int(spec.get("seed", 0)) + 1000 * attempt
-    return fresh
 
 
 class GpuService:
@@ -109,8 +105,7 @@ class GpuService:
         gpu_slots: Optional[int] = None,
         executor: Callable[[Dict], Dict] = execute_request,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        self.retry = RetryPolicy(max_attempts, backoff_base, backoff_cap)
         if gpu_slots is not None and gpu_slots < 1:
             raise ValueError("gpu_slots must be positive")
         self.core = core or ServiceCore()
@@ -118,9 +113,6 @@ class GpuService:
         self.cache = cache if cache is not None else PartitionedResultCache()
         self.core.attach_cache(self.cache)
         self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.isolated = isolated
         self.executor = executor
         #: workload name -> its trace as execute_handoff encoded it
@@ -199,9 +191,6 @@ class GpuService:
             # two first requests that ran at once both generated it
             self._traces.setdefault(workload, text)
         return value
-
-    def _backoff(self, attempt: int) -> float:
-        return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
     async def submit(self, tenant: str, spec: Dict) -> ServeResult:
         """Serve one kernel request; raises a structured
@@ -296,8 +285,7 @@ class GpuService:
                     tenant=tenant, key=key, cached=False,
                     attempts=attempts, value=value,
                 )
-            transient = outcome.kind in TRANSIENT_KINDS
-            if not transient or attempts >= self.max_attempts:
+            if not self.retry.retries(outcome.kind, attempts):
                 hang = outcome.kind in HANG_KINDS
                 self._now += float(
                     attempt_spec.get("cycle_budget") or DEFAULT_CYCLE_BUDGET
@@ -310,8 +298,10 @@ class GpuService:
                     tenant=tenant, key=key, cached=False,
                     attempts=attempts, failure=outcome,
                 )
-            await asyncio.sleep(self._backoff(attempts))
-            attempt_spec = reseeded(attempt_spec, attempts)
+            await asyncio.sleep(self.retry.delay(attempts))
+            attempt_spec = self.retry.next_kwargs(
+                outcome.kind, attempts, {"seed": 0, **attempt_spec}
+            )
 
     # -- batch helper ---------------------------------------------------
 

@@ -408,11 +408,17 @@ class SmPipeline:
         self.wake()
 
     def release(self) -> None:
-        """Break this SM's reference cycles once the run is over: the
-        simulator's ``on_block_done`` callback, and the reference scan when
-        it is bound as an instance attribute."""
+        """Break this SM's reference cycles once the run is over, or was
+        stopped early: the simulator's ``on_block_done`` callback, the
+        reference scan when it is bound as an instance attribute, and,
+        as :meth:`_block_finished` does for a retired block, the warps
+        and parked faulted instructions (whose events hold this SM) of
+        every block still resident or off chip."""
         self.on_block_done = None
         self.__dict__.pop("try_issue", None)
+        for block in self.blocks + self.offchip:
+            block.warps = []
+            block.faulted_inflight = []
 
     def refill_slot(self, time: float) -> None:
         """Default slot refill: fetch the next pending block, if any."""

@@ -527,23 +527,6 @@ class TestRetryBackoff:
 # ---------------------------------------------------------------------------
 
 class TestDegradation:
-    def test_no_start_method_degrades_to_serial(self, monkeypatch):
-        import repro.harness.runner as runner_mod
-
-        monkeypatch.setattr(
-            runner_mod, "process_isolation_available", lambda: False
-        )
-        warnings = []
-        cells = [CampaignCell(key=f"c{i}", fn=_ok_cell,
-                              kwargs={"tag": f"c{i}"}, group="g")
-                 for i in range(3)]
-        result = CampaignRunner(cells, workers=4,
-                                echo=warnings.append).run()
-        assert result.ok
-        assert result.degraded
-        assert any("falling back to serial" in w for w in warnings)
-        assert result.counters["counters"]["harness.campaign.degraded"] == 1
-
     def test_pool_setup_failure_degrades_to_serial(self, monkeypatch):
         import threading
 

@@ -9,6 +9,7 @@ flushes and the campaign dry-run."""
 import gzip
 import json
 import os
+import socket
 import threading
 import time
 
@@ -466,6 +467,31 @@ class TestCleanShutdown:
         worker._coordinator_lost("socket closed after the done ack")
         assert worker._lost is False
         assert worker._stop.is_set()
+
+
+class TestUnreachableCoordinator:
+    def test_worker_exits_3_after_eight_handshake_attempts(
+            self, monkeypatch):
+        """The handshake backs off 0.2 s doubling to 2 s between its 8
+        attempts and does not sleep after the last one."""
+        import repro.harness.dist as dist
+
+        with socket.socket() as sock:  # a port nobody listens on
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        attempts, sleeps = [], []
+        get_json = dist.get_json
+
+        def counted(*args, **kwargs):
+            attempts.append(args[0])
+            return get_json(*args, **kwargs)
+
+        monkeypatch.setattr(dist, "get_json", counted)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        worker = DistWorker(url, name="t-nobody", echo=lambda m: None)
+        assert worker.run() == EXIT_COORDINATOR_LOST
+        assert attempts == [f"{url}/campaign"] * 8
+        assert sleeps == [0.2, 0.4, 0.8, 1.6, 2.0, 2.0, 2.0]
 
 
 # ---------------------------------------------------------------------------

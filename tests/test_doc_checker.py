@@ -62,7 +62,8 @@ def make_repo(tmp_path, readme="# Repo\n", docs=None, harness_src=True,
         pkg = tmp_path / "src" / "repro" / "harness"
         pkg.mkdir(parents=True)
         (pkg / "__main__.py").write_text(
-            'SUBCOMMANDS = (\n    "trace",\n    "sweep",\n)\n'
+            'SUBCOMMANDS = {\n    "trace": _trace_main,\n'
+            '    "sweep": ".sweeps",\n}\n'
         )
         (pkg / "experiments.py").write_text(
             'ALL_EXPERIMENTS = {\n    "fig10": run_fig10,\n'

@@ -1,6 +1,6 @@
 """Crash-isolated harness tests: child-process execution, timeouts,
-structured failures, seed-bumping retries, the spawn fallback, and CLI
-exit codes."""
+structured failures, the retry policy and its seed-bumping retries, the
+spawn fallback, and CLI exit codes."""
 
 import multiprocessing
 import time
@@ -8,8 +8,18 @@ import time
 import pytest
 
 from repro.chaos import HangDiagnostic, SimulationHang
-from repro.harness import ExperimentFailure, run_experiment_isolated
+from repro.harness import (
+    TRANSIENT_KINDS,
+    CampaignCell,
+    CampaignRunner,
+    ExperimentFailure,
+    RetryPolicy,
+    run_experiment_isolated,
+)
+from repro.harness.dist import HANDSHAKE_RETRY, UPLOAD_RETRY
 from repro.harness.results import ExperimentTable
+from repro.harness.runner import ExecutionPolicy, execute_cell
+from repro.serve import GpuService, ServiceCore, VirtualTimeDriver
 
 
 def _table(name="ok", value=1.0):
@@ -73,48 +83,99 @@ class TestRunIsolated:
         assert outcome.kind == "Timeout"
 
     def test_hang_retried_with_fresh_seed(self):
-        result = run_experiment_isolated(
-            "hangs-once",
-            _hang_unless_reseeded,
-            kwargs={"seed": 0},
-            retries=2,
-            reseed=lambda attempt, kw: {**kw, "seed": kw["seed"] + 17},
+        outcome = execute_cell(
+            _cell("hangs-once", _hang_unless_reseeded, seed=0),
+            ExecutionPolicy(retry=RetryPolicy(3, 0.0)),
         )
-        assert isinstance(result, ExperimentTable)
-        assert result.rows == {"row": [17.0]}
+        assert outcome.ok
+        assert outcome.table.rows == {"row": [1000.0]}
+        assert outcome.ledger[0]["reseeded"] == 1000
 
     def test_retries_bounded(self):
-        calls = []
-        outcome = run_experiment_isolated(
-            "hangs-always",
-            _always_hanging,
-            kwargs={"seed": 0},
-            retries=2,
-            reseed=lambda attempt, kw: (
-                calls.append(attempt) or {**kw, "seed": attempt}
-            ),
+        sleeps = []
+        outcome = execute_cell(
+            _cell("hangs-always", _always_hanging, seed=0),
+            ExecutionPolicy(retry=RetryPolicy(3, 0.5),
+                            sleep=sleeps.append),
         )
-        assert isinstance(outcome, ExperimentFailure)
-        assert outcome.kind == "SimulationHang"
-        assert outcome.attempts == 3  # initial + 2 retries
-        assert calls == [1, 2]
-
-    def test_hang_not_retried_without_reseed(self):
-        outcome = run_experiment_isolated(
-            "hangs", _always_hanging, retries=5
-        )
-        assert isinstance(outcome, ExperimentFailure)
-        assert outcome.attempts == 1
+        assert isinstance(outcome.failure, ExperimentFailure)
+        assert outcome.failure.kind == "SimulationHang"
+        assert outcome.failure.attempts == 3
+        assert [e.get("reseeded") for e in outcome.ledger] == [
+            1000, 3000, None,
+        ]
+        assert sleeps == [0.5, 1.0]
 
     def test_other_errors_not_retried(self):
-        outcome = run_experiment_isolated(
-            "boom",
-            _crashing_experiment,
-            retries=5,
-            reseed=lambda attempt, kw: kw,
+        sleeps = []
+        outcome = execute_cell(
+            _cell("boom", _crashing_experiment, seed=0),
+            ExecutionPolicy(retry=RetryPolicy(5, 0.5),
+                            sleep=sleeps.append),
         )
-        assert isinstance(outcome, ExperimentFailure)
-        assert outcome.attempts == 1
+        assert outcome.failure.kind == "RuntimeError"
+        assert outcome.failure.attempts == 1
+        assert sleeps == []
+
+
+def _cell(key, fn, **kwargs):
+    return CampaignCell(key=key, fn=fn, kwargs=kwargs, group="g")
+
+
+#: the retry policy of each owner, built from its default settings
+OWNERS = {
+    "campaign": lambda: CampaignRunner(
+        [_cell("c", _ok_experiment)], echo=lambda _: None
+    ).policy.retry,
+    "serve": lambda: GpuService().retry,
+    "virtual-time": lambda: VirtualTimeDriver(ServiceCore()).retry,
+    "upload": lambda: UPLOAD_RETRY,
+    "handshake": lambda: HANDSHAKE_RETRY,
+}
+
+
+class TestRetryPolicy:
+    def test_transient_kinds_retry_up_to_max_attempts(self):
+        policy = RetryPolicy(3, 0.5)
+        for kind in TRANSIENT_KINDS:
+            assert [policy.retries(kind, a) for a in (1, 2, 3)] == [
+                True, True, False,
+            ]
+        for kind in ("RuntimeError", "InvariantViolation", "Cancelled"):
+            assert not policy.retries(kind, 1)
+        assert not RetryPolicy(1, 0.5).retries("Timeout", 1)
+        with pytest.raises(ValueError):
+            RetryPolicy(0, 0.5)
+
+    @pytest.mark.parametrize("owner,delays", [
+        ("campaign", [0.5, 1.0]),
+        ("serve", [0.02, 0.04]),
+        ("virtual-time", [2000.0]),
+        ("upload", [0.2, 0.4]),
+        ("handshake", [0.2, 0.4, 0.8, 1.6, 2.0, 2.0, 2.0]),
+    ])
+    def test_delay_schedule_of_each_owner(self, owner, delays):
+        policy = OWNERS[owner]()
+        assert [policy.delay(a) for a in range(1, policy.max_attempts)] == (
+            delays
+        )
+
+    def test_only_a_hang_reseeds_and_only_an_int_seed(self):
+        policy = RetryPolicy(3, 0.5)
+        assert policy.next_kwargs(
+            "SimulationHang", 2, {"seed": 7, "x": 1}
+        ) == {"seed": 2007, "x": 1}
+        for kind in ("Timeout", "ChildCrash", "RuntimeError"):
+            kwargs = {"seed": 7}
+            assert policy.next_kwargs(kind, 1, kwargs) is kwargs
+        for kwargs in ({}, {"seed": "7"}, {"seed": 7.0}, {"seed": None}):
+            assert policy.next_kwargs("SimulationHang", 1, kwargs) is kwargs
+
+    def test_attempts_sleep_between_attempts_only(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        assert list(RetryPolicy(4, 0.1, 0.3).attempts()) == [1, 2, 3, 4]
+        assert sleeps == [0.1, 0.2, 0.3]
 
 
 class TestSpawnFallback:
@@ -136,15 +197,11 @@ class TestSpawnFallback:
         monkeypatch.setattr(iso.multiprocessing, "get_context", probe)
 
     def test_falls_back_to_spawn(self, no_fork):
-        from repro.harness.isolation import (
-            _exec_context,
-            process_isolation_available,
-        )
+        from repro.harness.isolation import _exec_context
 
         ctx = _exec_context()
         assert ctx is not None
         assert ctx.get_start_method() == "spawn"
-        assert process_isolation_available()
 
     def test_result_crosses_spawn_boundary(self, no_fork):
         result = run_experiment_isolated("ok", _ok_experiment)
@@ -159,19 +216,6 @@ class TestSpawnFallback:
         assert time.time() - start < 30
         assert isinstance(outcome, ExperimentFailure)
         assert outcome.kind == "Timeout"
-
-    def test_no_start_method_at_all_runs_in_process(self, monkeypatch):
-        import repro.harness.isolation as iso
-
-        monkeypatch.setattr(
-            iso.multiprocessing,
-            "get_context",
-            lambda method=None: (_ for _ in ()).throw(ValueError(method)),
-        )
-        assert not iso.process_isolation_available()
-        outcome = run_experiment_isolated("boom", _crashing_experiment)
-        assert isinstance(outcome, ExperimentFailure)
-        assert outcome.kind == "RuntimeError"
 
 
 class TestCliExitCodes:
@@ -265,4 +309,4 @@ class TestCliExitCodes:
         assert exc_info.value.code == 0
         help_text = capsys.readouterr().out
         assert "--seed" in help_text
-        assert "--retries" in help_text
+        assert "--max-attempts" in help_text

@@ -10,6 +10,7 @@ import pytest
 
 from repro.chaos import HangDiagnostic, SimulationHang
 from repro.harness.hashing import content_hash
+from repro.harness.isolation import ExperimentFailure
 from repro.serve import (
     GpuService,
     QueueFull,
@@ -205,6 +206,24 @@ def _service(**kw):
     return GpuService(**kw)
 
 
+def _record_attempts(service, first_kind=None):
+    """The seed of each of ``service``'s execution attempts; with
+    ``first_kind``, the first attempt fails with it, the way the
+    isolation layer reports a crashed or timed-out child."""
+    seeds = []
+    run_once = service._run_once
+
+    def attempt(name, spec):
+        seeds.append(spec.get("seed"))
+        if first_kind is not None and len(seeds) == 1:
+            return ExperimentFailure(name=name, kind=first_kind,
+                                     message="injected")
+        return run_once(name, spec)
+
+    service._run_once = attempt
+    return seeds
+
+
 class TestGpuService:
     def test_execute_then_cache_hit_bit_identical(self):
         service = _service()
@@ -232,6 +251,30 @@ class TestGpuService:
         assert res.attempts == 2  # hung once, reseeded retry succeeded
         assert service.core.tenant("t").retries == 1
         assert service.core.counters.value("serve.slo.retries") == 1
+
+    @pytest.mark.parametrize("kind", ["ChildCrash", "Timeout"])
+    def test_transient_failure_retried_with_the_requested_seed(self, kind):
+        service = _service(max_attempts=3)
+        service.register_tenant("t", _policy())
+        seeds = _record_attempts(service, first_kind=kind)
+        spec = {"workload": "w", "seed": 7}
+
+        res = asyncio.run(service.submit("t", spec))
+        assert res.ok and res.attempts == 2
+        assert seeds == [7, 7]
+        assert res.value == stub_executor(spec)
+        assert service.cache.get("t", res.key) == stub_executor(spec)
+
+    def test_hang_without_a_seed_reseeds_from_seed_zero(self):
+        service = _service(max_attempts=3)
+        service.register_tenant("t", _policy())
+        seeds = _record_attempts(service)
+
+        res = asyncio.run(service.submit(
+            "t", {"workload": "w", "hang_until_reseed": True}
+        ))
+        assert res.ok
+        assert seeds == [None, 1000]
 
     def test_exhausted_hang_fails_and_quarantines(self):
         service = _service(max_attempts=2)

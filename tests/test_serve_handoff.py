@@ -10,15 +10,9 @@ import sys
 
 import pytest
 
-from repro.harness.isolation import process_isolation_available
 from repro.serve import GpuService, TenantPolicy, execute_request
 from repro.workloads import HALLOC, MICRO, PARBOIL
 from repro.workloads.base import Workload
-
-pytestmark = pytest.mark.skipif(
-    not process_isolation_available(),
-    reason="needs a process start method for isolated execution",
-)
 
 #: result fields a (workload, scheme, time scale) determines
 CHECKED = ("state_digest", "cycles", "faults_raised", "instructions")

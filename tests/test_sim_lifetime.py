@@ -10,14 +10,20 @@ test only, so whatever reference counting leaves behind stays visible.
 """
 
 import contextlib
+import functools
 import gc
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+import repro.core.preemption as preemption
+import repro.system.gpu as gpu
 from repro.core import make_scheme
-from repro.core.preemption import measure_preemption_latency
+from repro.core.preemption import (
+    measure_preemption_latency,
+    preemption_latency_experiment,
+)
 from repro.mem import coalesce, coalesce_inst
 from repro.system import GPUConfig, GpuSimulator, MultiKernelSimulator, NVLINK
 from repro.telemetry import Telemetry
@@ -137,6 +143,37 @@ class TestSelfFreeing:
             result = sim.run()
             assert sum(s.block_switch_outs for s in result.sm_stats) > 0
             del sim, result
+            assert _cyclic_repro_garbage() == Counter()
+
+    @pytest.mark.parametrize("make_wl,kwargs,held", [
+        (lambda: MICRO.fresh("saxpy"), {}, "blocks"),
+        (FaultStorm, {"block_switching": True}, "offchip"),
+    ], ids=["saxpy", "storm-block-switching"])
+    def test_stopped_preemption_probe_is_freed_by_refcounting(
+        self, make_wl, kwargs, held, monkeypatch
+    ):
+        """The preemption experiment stops its second simulator half
+        way, with blocks resident (and, switching, off chip) and faults
+        parked, and drops it: reference counting alone frees it."""
+        stopped = []
+
+        def measure(sim, request_time):
+            stopped.append(sim.sms)
+            return measure_preemption_latency(sim, request_time)
+
+        monkeypatch.setattr(preemption, "measure_preemption_latency",
+                            measure)
+        monkeypatch.setattr(gpu, "GpuSimulator",
+                            functools.partial(GpuSimulator, **kwargs))
+        wl = make_wl()
+        wl.trace()
+        with _no_cyclic_gc():
+            preemption_latency_experiment(
+                wl, make_scheme("replay-queue"), _IC, _CFG,
+                request_fraction=0.5,
+            )
+            assert any(getattr(sm, held) for sm in stopped[0])
+            del stopped[:]
             assert _cyclic_repro_garbage() == Counter()
 
     def test_retired_blocks_are_freed_during_the_run(self, storm):

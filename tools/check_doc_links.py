@@ -16,9 +16,9 @@ Three structural checks ride along:
 - **harness-command validation** — every ``python -m repro.harness
   <sub>`` invocation in the docs (code fences included — that's where
   commands live) must name a real subcommand.  The known set is parsed
-  *textually* from ``src/repro/harness/__main__.py`` (the
-  ``SUBCOMMANDS`` tuple) and ``src/repro/harness/experiments.py`` (the
-  ``ALL_EXPERIMENTS`` keys) — no import, because the CI docs-link-check
+  *textually* from the keys of the ``SUBCOMMANDS`` dispatch table in
+  ``src/repro/harness/__main__.py`` and of ``ALL_EXPERIMENTS`` in
+  ``src/repro/harness/experiments.py`` — no import, because the CI docs-link-check
   job installs no numpy.  When the source tree is absent the check is
   skipped;
 - **counter validation** — every name of a checked counter family in
@@ -63,8 +63,8 @@ EXTERNAL = ("http://", "https://", "mailto:")
 #: a documented harness invocation and its first argument (if any)
 HARNESS_RE = re.compile(r"python -m repro\.harness(?:\s+(\S+))?")
 
-#: dispatch targets of ``python -m repro.harness`` that are neither in
-#: the SUBCOMMANDS tuple nor ALL_EXPERIMENTS keys
+#: dispatch targets of ``python -m repro.harness`` that are neither
+#: SUBCOMMANDS nor ALL_EXPERIMENTS keys
 EXTRA_SUBCOMMANDS = {"all", "table1", "diagrams"}
 
 
@@ -141,19 +141,19 @@ def known_subcommands(root):
     parsed textually (no import — the CI docs-link-check job installs no
     numpy, so the harness package cannot be imported there).  Returns
     ``None`` when the source tree is absent, meaning "skip the check"."""
-    main_py = root / "src" / "repro" / "harness" / "__main__.py"
-    exp_py = root / "src" / "repro" / "harness" / "experiments.py"
-    if not main_py.exists() or not exp_py.exists():
+    harness = root / "src" / "repro" / "harness"
+    tables = (
+        (harness / "__main__.py", "SUBCOMMANDS"),
+        (harness / "experiments.py", "ALL_EXPERIMENTS"),
+    )
+    if not all(path.exists() for path, _ in tables):
         return None
     names = set(EXTRA_SUBCOMMANDS)
-    m = re.search(r"SUBCOMMANDS\s*=\s*\(([^)]*)\)",
-                  main_py.read_text(encoding="utf-8"))
-    if m:
-        names.update(re.findall(r"\"([^\"]+)\"", m.group(1)))
-    m = re.search(r"ALL_EXPERIMENTS\s*=\s*\{([^}]*)\}",
-                  exp_py.read_text(encoding="utf-8"))
-    if m:
-        names.update(re.findall(r"\"([^\"]+)\"\s*:", m.group(1)))
+    for path, table in tables:
+        m = re.search(rf"{table}\s*=\s*\{{([^}}]*)\}}",
+                      path.read_text(encoding="utf-8"))
+        if m:
+            names.update(re.findall(r"\"([^\"]+)\"\s*:", m.group(1)))
     return names
 
 
