@@ -44,18 +44,6 @@ class HangDiagnostic:
     warp_states: Dict[str, List[Dict]] = field(default_factory=dict)
     telemetry_summary: Optional[Dict] = None
 
-    def stuck_kernels(self) -> List[int]:
-        """Kernel ids with at least one live (not-done) warp at hang
-        time, sorted — in a multi-kernel run this names the offending
-        launch(es) instead of just the SM."""
-        kernels = {
-            w["kernel"]
-            for warps in self.warp_states.values()
-            for w in warps
-            if "kernel" in w and not w.get("done")
-        }
-        return sorted(kernels)
-
     def render(self) -> str:
         """Human-readable dump (the exception message)."""
         out = [

@@ -82,23 +82,3 @@ class KernelTrace:
 
     def dynamic_instructions(self) -> int:
         return sum(b.dynamic_instructions() for b in self.blocks)
-
-    def global_memory_instructions(self) -> int:
-        return sum(
-            1
-            for b in self.blocks
-            for w in b.warps
-            for t in w.instructions
-            if t.inst.info.can_fault
-        )
-
-    def touched_pages(self) -> set:
-        """Set of virtual page numbers referenced by global accesses."""
-        pages = set()
-        for b in self.blocks:
-            for w in b.warps:
-                for t in w.instructions:
-                    if t.addresses and t.inst.info.can_fault:
-                        for a in t.addresses:
-                            pages.add(a >> 12)
-        return pages

@@ -12,15 +12,16 @@ Examples::
     python -m repro.harness figures
     python -m repro.harness chaos --workloads all --seeds 0 1 \\
         --out soak --coordinate 8420
-    python -m repro.harness worker --coordinator http://127.0.0.1:8420
+    python -m repro.harness worker --coordinator 127.0.0.1:8420
     python -m repro.harness mc --campaign --workers 2
     python -m repro.harness chaos --workloads all --seeds 0 1 --dry-run
 
 Campaign subcommands (``all``/``chaos``/``mc --campaign``)
 share one execution tail: ``--dry-run`` prints the cell matrix with
 duration estimates, ``--coordinate PORT`` serves the matrix to remote
-``worker`` processes over HTTP (work-stealing leases, validated
-checkpoint uploads, byte-identical merged output — docs/ROBUSTNESS.md),
+``worker`` processes over the :mod:`repro.wire` frame protocol
+(work-stealing leases, validated checkpoint uploads, byte-identical
+merged output — docs/ROBUSTNESS.md),
 and the default runs shards on local supervisor threads.
 
 The ``trace`` subcommand runs one workload with telemetry enabled and
@@ -181,10 +182,11 @@ def _add_campaign_flags(parser) -> None:
     parser.add_argument(
         "--coordinate", type=int, default=None, metavar="PORT",
         help="instead of running cells locally, serve this campaign to "
-             "remote workers over HTTP on PORT (0 = ephemeral port); "
+             "remote workers on TCP port PORT (0 = ephemeral port), in "
+             "the NDJSON frame protocol the serve daemon speaks; "
              "requires --out — the campaign directory is the workers' "
              "checkpoint store (docs/ROBUSTNESS.md); start workers with "
-             "'python -m repro.harness worker --coordinator URL'",
+             "'python -m repro.harness worker --coordinator HOST:PORT'",
     )
     parser.add_argument(
         "--bind", default="127.0.0.1", metavar="HOST",
@@ -658,8 +660,9 @@ def _worker_main(argv) -> int:
     """The ``worker`` subcommand: join a coordinator's campaign as N
     remote supervisors (docs/ROBUSTNESS.md).  Exits 0 when the matrix
     completed, 3 when the coordinator became unreachable (in-flight
-    cells are cancelled, nothing is left half-written), 2 on a protocol
-    version mismatch."""
+    cells are cancelled, nothing is left half-written), 2 when it
+    refused the handshake (a protocol version mismatch) or answered it
+    with something that is not a frame."""
     from .dist import DistWorker
 
     parser = argparse.ArgumentParser(
@@ -674,8 +677,9 @@ def _worker_main(argv) -> int:
         ),
     )
     parser.add_argument(
-        "--coordinator", required=True, metavar="URL",
-        help="coordinator base URL (e.g. http://127.0.0.1:8420)",
+        "--coordinator", required=True, metavar="HOST:PORT",
+        help="where the coordinator serves (e.g. 127.0.0.1:8420, the "
+             "host and the PORT given to --coordinate)",
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",

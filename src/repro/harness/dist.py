@@ -4,51 +4,49 @@ The local campaign runner drives a :class:`repro.harness.runner.Campaign`
 from supervisor threads; this module drives the *same* campaign object
 across machines while keeping every determinism guarantee:
 
-**Coordinator** (:class:`CampaignCoordinator`).  A dumb HTTP server
-(stdlib ``http.server``, JSON bodies — :mod:`repro.harness.distproto`)
-in front of one ``Campaign``, which owns the cell matrix, the campaign
-directory, the counters, resume and the merge.  The coordinator runs no
-cells itself and keeps only what a fleet adds: the HTTP surface, lease
-expiry (workers heartbeat to extend their leases; the campaign re-leases
-— steals — a cell whose lease expired, so a wedged or dead worker delays
-only its own cells), upload validation and result-hash dedup.  Because
-booking, checkpointing and resume are the campaign's, the campaign
-directory *is* the local runner's checkpoint store: ``--resume``
-restores a half-finished distributed campaign (same torn-write
-corroboration), a serial run can finish a campaign a fleet started, and
-vice versa.
+**Coordinator** (:class:`CampaignCoordinator`).  An op table on the
+:mod:`repro.wire` frame server, the serve daemon's protocol, in front of
+one ``Campaign``, which owns the cell matrix, the campaign directory,
+the counters, resume and the merge.  Its ``hello`` reply carries the
+execution policy and lease duration; its ops are ``lease``,
+``heartbeat``, ``upload`` and ``status``.  It runs no cells and keeps
+only what a fleet adds: lease expiry (workers heartbeat to extend their
+leases; the campaign re-leases — steals — a cell whose lease expired,
+so a wedged or dead worker delays only its own cells), upload
+validation and result-hash dedup.  The campaign directory *is* the
+local runner's checkpoint store: ``--resume`` restores a half-finished
+distributed campaign, and a serial run can finish a campaign a fleet
+started, and vice versa.
 
 **Worker** (:class:`DistWorker`, ``python -m repro.harness worker
---coordinator URL``).  N of today's supervisors pointed at a remote
-queue: each supervisor leases a cell, reconstructs it from the wire
-recipe (import-by-name, config hash re-verified), runs it through the
-exact :func:`repro.harness.runner.execute_cell` retry/backoff/reseed
-loop the local runner uses, and uploads the exact checkpoint payload
-the local runner would have written.  A shared heartbeat thread extends
-leases; a cell missing from the heartbeat response was stolen and its
-in-flight child is terminated via the crash-isolation cancel event.
-When the coordinator stays unreachable past the miss budget the worker
-cancels everything and exits with code 3 — losing the coordinator can
-never wedge a fleet.
+--coordinator HOST:PORT``).  N of today's supervisors pointed at a
+remote queue: each leases a cell, rebuilds it from its recipe
+(:func:`cell_from_wire`), runs it through the local runner's
+:func:`repro.harness.runner.execute_cell` and uploads the checkpoint the
+local runner would have written.  A heartbeat thread extends leases; a
+cell missing from its reply was stolen, and its in-flight child is
+cancelled.  Every call is one connection (connect, ``hello``, one op,
+close).  A refused, reset, closed, cut or malformed exchange is a
+transport failure: a missed heartbeat, or a retried lease or upload.
+Past the miss budget the worker cancels everything and exits 3 —
+losing the coordinator can never wedge a fleet.  A ``bad-request`` or
+``conflict`` reply is logged and not retried; a refused first
+handshake, or a reply to it that is not a frame, exits 2.
 
-**Determinism.**  Cells are keyed by the existing config hash; uploads
-are validated with the same :func:`repro.harness.store.validate_checkpoint`
-the local resume path trusts, and a malformed request gets a 400
-instead of a dropped connection; duplicate uploads after a lease steal
-are deduplicated by :func:`repro.harness.store.result_hash` (status+table
-only — durations legitimately differ), and a *mismatched* duplicate is
-a determinism violation: counted (``harness.dist.upload_conflicts``),
-rejected with 409, first write wins.  The merged ``tables.json`` and
+**Determinism.**  Uploads are validated with the same
+:func:`repro.harness.store.validate_checkpoint` the resume path trusts.
+Duplicates after a steal are deduplicated by
+:func:`repro.harness.store.result_hash` (status + table: durations
+legitimately differ); a *mismatched* duplicate is a determinism
+violation: counted (``harness.dist.upload_conflicts``), answered
+``conflict``, first write wins.  The merged ``tables.json`` and
 ``counters.json`` come from the campaign's own merge in canonical cell
-order, so any worker count on any number of machines is byte-identical
-to the serial runner (``ops_counters.json`` carries the run-shape
-``harness.campaign.*``/``harness.dist.*`` counters that legitimately
-differ).  See docs/ROBUSTNESS.md for the protocol and failure modes.
+order, so any fleet is byte-identical to the serial runner.  See
+docs/ROBUSTNESS.md for the protocol, failure modes and trust model.
 """
-
 from __future__ import annotations
 
-import json
+import importlib
 import os
 import socket
 import subprocess
@@ -56,19 +54,18 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import store
-from .distproto import (
+from ..wire import (
     PROTOCOL_VERSION,
-    ProtocolError,
-    cell_from_wire,
-    cell_to_wire,
-    check_version,
-    get_json,
-    post_json,
-    read_request_json,
+    FrameServer,
+    WireError,
+    dial,
+    encode_frame,
+    error,
+    handshake,
+    read_frame,
 )
 from .isolation import RetryPolicy
 from .runner import (
@@ -104,6 +101,10 @@ EXIT_OK = 0
 EXIT_PROTOCOL = 2
 EXIT_COORDINATOR_LOST = 3
 
+#: reply codes a worker logs and does not retry: the coordinator
+#: refused the request itself, so sending it again gets the same answer
+REFUSALS = ("bad-request", "conflict")
+
 #: every ``harness.dist.*`` rollup the coordinator maintains
 #: (docs/OBSERVABILITY.md documents each; tools/check_doc_links.py
 #: parses this tuple)
@@ -114,63 +115,63 @@ DIST_COUNTER_LEAVES = (
 )
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin HTTP adapter; all campaign logic lives on the coordinator."""
-
-    protocol_version = "HTTP/1.1"
-
-    @property
-    def coord(self) -> "CampaignCoordinator":
-        return self.server.coordinator  # type: ignore[attr-defined]
-
-    def log_message(self, fmt, *args):  # noqa: D102 - silence stderr spam
-        pass
-
-    def _reply(self, status: int, payload: Dict) -> None:
-        blob = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path == "/campaign":
-            self._reply(200, self.coord.describe())
-        elif self.path == "/status":
-            self._reply(200, self.coord.status())
-        else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        body = read_request_json(self)
-        if body is None:
-            self._reply(400, {"error": "malformed JSON request body"})
-            return
-        worker = str(body.get("worker"))
-        if self.path == "/lease":
-            self._reply(200, self.coord.lease(worker))
-        elif self.path == "/heartbeat":
-            keys = body.get("keys") or []
-            if isinstance(keys, list) and all(isinstance(k, str)
-                                              for k in keys):
-                self._reply(200, self.coord.heartbeat(worker, keys))
-            else:
-                self._reply(400, {"error": "keys must be a list of cell keys"})
-        elif self.path == "/upload":
-            self._reply(*self.coord.upload(
-                worker, body.get("checkpoint"),
-                body.get("upload_attempt", 1),
-            ))
-        else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
+def cell_to_wire(cell) -> Dict:
+    """The cell's construction recipe: its function by module +
+    qualname (every campaign cell function is an importable
+    module-level callable), kwargs, merge position and config hash."""
+    return {
+        "key": cell.key,
+        "fn": {
+            "module": cell.fn.__module__,
+            "qualname": cell.fn.__qualname__,
+        },
+        "kwargs": cell.kwargs,
+        "group": cell.group,
+        "row_prefix": cell.row_prefix,
+        "config_hash": cell.config_hash(),
+    }
 
 
-class CampaignCoordinator:
+def cell_from_wire(data: Dict) -> CampaignCell:
+    """Reconstruct a :class:`CampaignCell` from :func:`cell_to_wire`'s
+    form; raises :class:`WireError` when the function cannot be
+    imported or the recomputed config hash disagrees with the declared
+    one (the worker must never run a cell it cannot re-derive).  It
+    imports whatever the coordinator names: point workers only at
+    trusted coordinators."""
+    try:
+        fn_ref = data["fn"]
+        fn = importlib.import_module(fn_ref["module"])
+        for part in fn_ref["qualname"].split("."):
+            fn = getattr(fn, part)
+    except (KeyError, TypeError, ImportError, AttributeError) as exc:
+        raise WireError(f"cannot resolve cell function: {exc}")
+    try:
+        cell = CampaignCell(
+            key=data["key"],
+            fn=fn,
+            kwargs=dict(data.get("kwargs") or {}),
+            group=data.get("group", ""),
+            row_prefix=data.get("row_prefix", ""),
+        )
+    except (KeyError, TypeError) as exc:
+        raise WireError(f"malformed wire cell: {exc}")
+    declared = data.get("config_hash")
+    if cell.config_hash() != declared:
+        raise WireError(
+            f"cell {cell.key!r}: reconstructed config hash "
+            f"{cell.config_hash()} != declared {declared!r}"
+        )
+    return cell
+
+
+class CampaignCoordinator(FrameServer):
     """Serves one :class:`repro.harness.runner.Campaign` to remote
     workers (module docstring).  ``run()`` blocks until the matrix
     completes and returns the same :class:`CampaignResult` the local
     runner would."""
+
+    thread_name = "dist-coordinator"
 
     def __init__(
         self,
@@ -195,6 +196,7 @@ class CampaignCoordinator:
             )
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be > 0")
+        super().__init__(host=host, port=port)
         self.campaign = Campaign(
             cells, out_dir=out_dir, resume=resume, timeout=timeout,
             adaptive_timeout=adaptive_timeout, workers="dist", echo=echo,
@@ -209,27 +211,35 @@ class CampaignCoordinator:
             retry=RetryPolicy(max_attempts, backoff_base, backoff_cap),
         )
         self.lease_seconds = lease_seconds
-        self.host = host
-        self.port = port
         self._echo = echo
         self._lock = threading.Lock()
         self._by_key = {cell.key: cell for cell in self.cells}
         self._workers: set = set()
-        #: workers that have been *told* the matrix is done (via /lease
-        #: or /heartbeat) — run() keeps serving until this covers
+        #: workers that have been *told* the matrix is done (via lease
+        #: or heartbeat) — run() keeps serving until this covers
         #: _workers, so fleet workers exit 0 instead of mistaking the
         #: natural end of the campaign for a coordinator crash
         self._done_acked: set = set()
-        self._server: Optional[ThreadingHTTPServer] = None
-        self.url: Optional[str] = None
 
-    # -- request handlers (called from server threads) ---------------------
+    # -- ops (called from server threads) ----------------------------------
 
-    def describe(self) -> Dict:
-        """``GET /campaign``: the handshake payload."""
+    def ops(self) -> Dict:
+        return {
+            "lease": lambda frame: self.lease(str(frame.get("worker"))),
+            "heartbeat": self._op_heartbeat,
+            "upload": lambda frame: self.upload(
+                str(frame.get("worker")), frame.get("checkpoint"),
+                frame.get("upload_attempt", 1),
+            ),
+            "status": lambda frame: self.status(),
+        }
+
+    def hello(self) -> Dict:
+        """The handshake reply: execution policy, lease duration and
+        progress."""
         retry = self.policy.retry
         return {
-            "protocol": PROTOCOL_VERSION,
+            "server": "repro.harness.dist",
             "lease_seconds": self.lease_seconds,
             "policy": {
                 "timeout": self.policy.timeout,
@@ -242,11 +252,12 @@ class CampaignCoordinator:
         }
 
     def status(self) -> Dict:
-        """``GET /status``: progress snapshot."""
+        """The ``status`` op: progress snapshot."""
         with self.campaign.lock:
             done = len(self.campaign.outcomes)
             leased = len(self.campaign.leases)
         return {
+            "ok": True,
             "protocol": PROTOCOL_VERSION,
             "complete": self.campaign.finished.is_set(),
             "pending": len(self.cells) - done - leased,
@@ -255,7 +266,7 @@ class CampaignCoordinator:
         }
 
     def lease(self, worker: str) -> Dict:
-        """``POST /lease``: hand out the next cell in canonical order —
+        """The ``lease`` op: hand out the next cell in canonical order —
         first pending cell, else the first leased cell whose lease
         expired (a steal)."""
         with self._lock:
@@ -266,8 +277,8 @@ class CampaignCoordinator:
             if leased is None:
                 if self.campaign.finished.is_set():
                     self._done_acked.add(worker)
-                    return {"done": True}
-                return {"wait": True, "retry_after": 0.5}
+                    return {"ok": True, "done": True}
+                return {"ok": True, "wait": True, "retry_after": 0.5}
             cell, stolen_from = leased
             if stolen_from is not None:
                 self.counters.counter("harness.dist.steals").add(1)
@@ -278,6 +289,7 @@ class CampaignCoordinator:
                 )
             self.counters.counter("harness.dist.leases").add(1)
         response = {
+            "ok": True,
             "cell": cell_to_wire(cell),
             "lease_seconds": self.lease_seconds,
         }
@@ -287,9 +299,9 @@ class CampaignCoordinator:
         return response
 
     def heartbeat(self, worker: str, keys: List[str]) -> Dict:
-        """``POST /heartbeat``: extend the worker's live leases; the
-        response lists the keys it still holds (a missing key was
-        stolen — the worker cancels that cell)."""
+        """The ``heartbeat`` op: extend the worker's live leases; the
+        reply lists the keys it still holds (a missing key was stolen —
+        the worker cancels that cell)."""
         expiry = time.monotonic() + self.lease_seconds
         held: List[str] = []
         with self.campaign.lock:
@@ -303,13 +315,20 @@ class CampaignCoordinator:
             self.counters.counter("harness.dist.heartbeats").add(1)
             if done:
                 self._done_acked.add(worker)
-        return {"keys": held, "done": done}
+        return {"ok": True, "keys": held, "done": done}
 
-    def upload(self, worker, data, upload_attempt=1):
-        """``POST /upload``: validate one finished cell and complete it
-        on the campaign; returns ``(http_status, payload)``.  Duplicates
-        after a steal dedupe by result hash; mismatched duplicates are
-        determinism violations (409, first write wins)."""
+    def _op_heartbeat(self, frame: Dict) -> Dict:
+        keys = frame.get("keys") or []
+        if not (isinstance(keys, list)
+                and all(isinstance(k, str) for k in keys)):
+            return error("bad-request", "keys must be a list of cell keys")
+        return self.heartbeat(str(frame.get("worker")), keys)
+
+    def upload(self, worker, data, upload_attempt=1) -> Dict:
+        """The ``upload`` op: validate one finished cell and complete it
+        on the campaign.  Duplicates after a steal dedupe by result
+        hash; mismatched duplicates are determinism violations
+        (``conflict``, first write wins)."""
         key = data.get("key") if isinstance(data, dict) else None
         if not isinstance(upload_attempt, int):
             problem = f"upload_attempt {upload_attempt!r} is not an integer"
@@ -324,7 +343,7 @@ class CampaignCoordinator:
             with self._lock:
                 self.counters.counter("harness.dist.upload_rejected").add(1)
             self._echo(f"[dist] rejected upload from {worker!r} ({problem})")
-            return 400, {"error": problem}
+            return error("bad-request", problem)
         outcome = outcome_from_checkpoint(cell, data)
         with self._lock:
             self.counters.counter("harness.dist.uploads").add(1)
@@ -335,7 +354,7 @@ class CampaignCoordinator:
             # locally written checkpoint (resume works across machines
             # and run modes).
             if self.campaign.complete(outcome, checkpoint=data):
-                return 200, {"ok": True, "dedup": False}
+                return {"ok": True, "dedup": False}
             # Both sides hash their rebuilt checkpoint, so a restored
             # cell compares the same way as an uploaded one.
             kept, rhash = (
@@ -348,44 +367,35 @@ class CampaignCoordinator:
                     f"[dist] {key}: duplicate upload from {worker!r} "
                     "deduplicated (result hashes match)"
                 )
-                return 200, {"ok": True, "dedup": True}
+                return {"ok": True, "dedup": True}
             self.counters.counter("harness.dist.upload_conflicts").add(1)
         self._echo(
             f"[dist] {key}: CONFLICTING duplicate upload from {worker!r} "
             "— determinism violation (kept the first result)"
         )
-        return 409, {"error": "result hash conflict", "kept": kept,
-                     "got": rhash}
+        return error("conflict", f"{key}: result hash conflict",
+                     kept=kept, got=rhash)
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> str:
-        """Bind the server, open the campaign (restoring checkpoints on
-        ``resume``), write ``coordinator.json`` and start serving in
-        background threads; returns the coordinator URL."""
-        server = ThreadingHTTPServer((self.host, self.port), _Handler)
-        server.coordinator = self  # type: ignore[attr-defined]
-        server.daemon_threads = True
-        self._server = server
-        self.port = server.server_address[1]
-        self.url = f"http://{self.host}:{self.port}"
+        """Open the campaign (restoring checkpoints on ``resume``), bind
+        and serve in background threads, and write
+        ``coordinator.json``; returns the ``HOST:PORT`` workers join."""
         self.campaign.open()
+        self.listen()
+        address = f"{self.host}:{self.port}"
         store.write_json(
             os.path.join(self.out_dir, "coordinator.json"),
-            {"url": self.url, "pid": os.getpid(),
+            {"address": address, "pid": os.getpid(),
              "protocol": PROTOCOL_VERSION,
              "lease_seconds": self.lease_seconds},
         )
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.1},
-            name="dist-coordinator", daemon=True,
-        )
-        thread.start()
         self._echo(
             f"[dist] coordinator serving {len(self.cells)} cell(s) at "
-            f"{self.url} ({len(self.campaign.outcomes)} restored)"
+            f"{address} ({len(self.campaign.outcomes)} restored)"
         )
-        return self.url
+        return address
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the matrix completes (True) or ``timeout``."""
@@ -393,8 +403,8 @@ class CampaignCoordinator:
 
     def linger(self, timeout: Optional[float] = None) -> None:
         """After completion, keep serving until every worker that ever
-        leased has been told the matrix is done (``/lease`` or
-        ``/heartbeat`` carries the ack), so workers exit 0 instead of
+        leased has been told the matrix is done (a ``lease`` or
+        ``heartbeat`` reply carries the ack), so workers exit 0 instead of
         mistaking the natural end of the campaign for a coordinator
         crash.  Capped at ``timeout`` (default: one lease duration) in
         case a worker died and will never ask again."""
@@ -408,11 +418,8 @@ class CampaignCoordinator:
             time.sleep(0.05)
 
     def stop(self) -> None:
-        """Shut the HTTP server down (idempotent)."""
-        server, self._server = self._server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
+        """Stop serving (idempotent): every later worker call fails."""
+        self.close()
 
     def collect(self) -> CampaignResult:
         """The campaign's merged result — the local runner's merge, so
@@ -437,7 +444,8 @@ class CampaignCoordinator:
 
 
 class DistWorker:
-    """N supervisors pointed at a remote queue (module docstring)."""
+    """N supervisors pointed at a remote queue (module docstring);
+    ``coordinator`` is the ``HOST:PORT`` the coordinator serves on."""
 
     def __init__(
         self,
@@ -450,7 +458,14 @@ class DistWorker:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.url = coordinator.rstrip("/")
+        host, _, port = coordinator.rpartition(":")
+        if not host or "/" in host or not port.isdigit():
+            raise ValueError(
+                f"the coordinator address must be HOST:PORT, got "
+                f"{coordinator!r}"
+            )
+        self.coordinator = coordinator
+        self.address = (host, int(port))
         self.workers = workers
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.poll_interval = poll_interval
@@ -467,6 +482,37 @@ class DistWorker:
         self.lease_seconds = DEFAULT_LEASE_S
 
     # -- plumbing ----------------------------------------------------------
+
+    def _call(self, op: str, timeout: float = 10.0,
+              **fields) -> Optional[Dict]:
+        """One exchange on its own connection: connect, ``hello``,
+        ``op``, close — so a stopped coordinator fails every later call.
+        Returns the op's reply (the hello reply for ``op="hello"``), or
+        None when the coordinator refused it (:data:`REFUSALS`; logged).
+        Raises ``OSError`` or :class:`WireError` on a transport failure
+        or a refused handshake."""
+        with dial(self.address, timeout) as sock, \
+                sock.makefile("rb") as rfile:
+            def call(frame: Dict) -> Dict:
+                sock.sendall(encode_frame(frame))
+                reply = read_frame(rfile)
+                if reply is None:
+                    raise WireError("the coordinator closed the connection")
+                return reply
+
+            reply = handshake(call, PROTOCOL_VERSION)
+            if op != "hello":
+                reply = call({"op": op, "worker": self.name, **fields})
+        if reply.get("ok"):
+            return reply
+        err = reply.get("error") or {}
+        if err.get("code") in REFUSALS:
+            self._echo(
+                f"[worker {self.name}] {op} refused "
+                f"({err['code']}: {err.get('detail')})"
+            )
+            return None
+        raise WireError(f"{op} failed: {err}", code=err.get("code"))
 
     def _finish(self) -> None:
         """The matrix is done: stop every thread and cancel any
@@ -499,18 +545,30 @@ class DistWorker:
             event.set()
         self._stop.set()
 
+    def _guarded(self, loop: Callable, *args) -> None:
+        """Run one worker thread's loop.  A loop that ends while the
+        worker still runs died on an exception (say, a reply it cannot
+        read): without it the worker can no longer tell a lost
+        coordinator from a slow one, so it stops rather than wedge or
+        exit 0 with the matrix unfinished."""
+        try:
+            loop(*args)
+        finally:
+            if not self._stop.is_set():
+                self._coordinator_lost(
+                    f"{threading.current_thread().name} stopped"
+                )
+
     def _heartbeat_loop(self, interval: float) -> None:
         misses = 0
         while not self._stop.wait(interval):
             with self._lock:
                 keys = list(self._held)
             try:
-                status, body = post_json(
-                    f"{self.url}/heartbeat",
-                    {"worker": self.name, "keys": keys},
-                    timeout=min(10.0, self.lease_seconds),
+                body = self._call(
+                    "heartbeat", min(10.0, self.lease_seconds), keys=keys,
                 )
-            except OSError as exc:
+            except (OSError, WireError) as exc:
                 misses += 1
                 if misses >= HEARTBEAT_MISS_BUDGET:
                     self._coordinator_lost(
@@ -519,7 +577,7 @@ class DistWorker:
                     return
                 continue
             misses = 0
-            if status != 200:
+            if body is None:
                 continue
             if body.get("done"):
                 self._finish()
@@ -544,61 +602,39 @@ class DistWorker:
         ))
 
     def _upload(self, outcome: CellOutcome) -> bool:
-        payload = {
-            "worker": self.name,
-            "checkpoint": store.build_checkpoint(outcome),
-        }
+        checkpoint = store.build_checkpoint(outcome)
         for attempt in UPLOAD_RETRY.attempts():
-            payload["upload_attempt"] = attempt
             try:
-                status, body = post_json(
-                    f"{self.url}/upload", payload, timeout=30.0
-                )
-            except OSError as exc:
-                error = exc
-                continue
-            if status == 200:
-                return True
-            # 400 (rejected) and 409 (conflict) are never retryable: the
-            # coordinator logged why and kept its canonical result.
-            self._echo(
-                f"[worker {self.name}] upload of {outcome.cell.key} "
-                f"refused ({status}: {body.get('error')})"
-            )
-            return False
+                # A refusal is never retried: the coordinator logged why
+                # and kept its canonical result.
+                return self._call(
+                    "upload", 30.0, checkpoint=checkpoint,
+                    upload_attempt=attempt,
+                ) is not None
+            except (OSError, WireError) as exc:
+                failure = exc
         self._coordinator_lost(
-            f"upload failed {UPLOAD_RETRY.max_attempts}x: {error}"
+            f"upload failed {UPLOAD_RETRY.max_attempts}x: {failure}"
         )
         return False
 
     def _supervisor(self) -> None:
         while not self._stop.is_set():
             try:
-                status, body = post_json(
-                    f"{self.url}/lease", {"worker": self.name},
-                    timeout=10.0,
-                )
-            except OSError:
-                # Transient: the heartbeat loop owns loss detection.
-                if self._stop.wait(self.poll_interval):
-                    return
-                continue
-            if status != 200:
-                if self._stop.wait(self.poll_interval):
+                body = self._call("lease")
+            except (OSError, WireError):
+                body = None  # transient: the heartbeat loop owns loss
+            if body is None or body.get("wait"):
+                retry_after = (body or {}).get("retry_after")
+                if self._stop.wait(float(retry_after or self.poll_interval)):
                     return
                 continue
             if body.get("done"):
                 self._finish()
                 return
-            if body.get("wait"):
-                if self._stop.wait(
-                    float(body.get("retry_after", self.poll_interval))
-                ):
-                    return
-                continue
             try:
                 cell = cell_from_wire(body.get("cell") or {})
-            except ProtocolError as exc:
+            except WireError as exc:
                 self._echo(f"[worker {self.name}] bad lease: {exc}")
                 if self._stop.wait(self.poll_interval):
                     return
@@ -623,25 +659,26 @@ class DistWorker:
 
     def run(self) -> int:
         """Work the queue until the coordinator reports the matrix done
-        (exit 0) or becomes unreachable (exit 3)."""
-        handshake = None
+        (exit 0) or becomes unreachable (exit 3); a coordinator that
+        refuses the handshake, or answers it with something that is not
+        a frame, exits 2."""
+        info = None
         for _ in HANDSHAKE_RETRY.attempts():
             try:
-                handshake = get_json(f"{self.url}/campaign", timeout=10.0)
+                info = self._call("hello")
                 break
+            except WireError as exc:
+                if exc.code is not None:
+                    self._echo(f"[worker {self.name}] {exc}")
+                    return EXIT_PROTOCOL
             except OSError:
-                continue
-        if handshake is None:
+                pass
+        if info is None:
             self._echo(
-                f"[worker {self.name}] no coordinator at {self.url}"
+                f"[worker {self.name}] no coordinator at {self.coordinator}"
             )
             return EXIT_COORDINATOR_LOST
-        try:
-            check_version(handshake, "coordinator")
-        except ProtocolError as exc:
-            self._echo(f"[worker {self.name}] {exc}")
-            return EXIT_PROTOCOL
-        policy = handshake.get("policy") or {}
+        policy = info.get("policy") or {}
         self._policy = ExecutionPolicy(
             timeout=policy.get("timeout"),
             retry=RetryPolicy(
@@ -651,21 +688,21 @@ class DistWorker:
             ),
         )
         self.lease_seconds = float(
-            handshake.get("lease_seconds", DEFAULT_LEASE_S)
+            info.get("lease_seconds", DEFAULT_LEASE_S)
         )
         interval = max(0.2, self.lease_seconds / 3.0)
         self._echo(
-            f"[worker {self.name}] joined {self.url}: "
-            f"{handshake.get('cells')} cell(s), "
+            f"[worker {self.name}] joined {self.coordinator}: "
+            f"{info.get('cells')} cell(s), "
             f"{self.workers} supervisor(s), lease {self.lease_seconds}s"
         )
         heart = threading.Thread(
-            target=self._heartbeat_loop, args=(interval,),
+            target=self._guarded, args=(self._heartbeat_loop, interval),
             name="dist-heartbeat", daemon=True,
         )
         heart.start()
         threads = [
-            threading.Thread(target=self._supervisor,
+            threading.Thread(target=self._guarded, args=(self._supervisor,),
                              name=f"dist-supervisor-{i}", daemon=True)
             for i in range(self.workers)
         ]
@@ -693,17 +730,18 @@ def worker_env() -> Dict[str, str]:
 
 
 def spawn_worker(
-    url: str,
+    address: str,
     *,
     workers: int = 1,
     name: Optional[str] = None,
     extra_args: Sequence[str] = (),
 ) -> subprocess.Popen:
-    """Launch one worker process against ``url`` (loopback fleets: the
-    dist benchmark, the CI smoke job, the tests)."""
+    """Launch one worker process against the coordinator at ``address``
+    (``HOST:PORT``; loopback fleets: the dist benchmark, the CI smoke
+    job, the tests)."""
     cmd = [
         sys.executable, "-m", "repro.harness", "worker",
-        "--coordinator", url, "--workers", str(workers),
+        "--coordinator", address, "--workers", str(workers),
     ]
     if name:
         cmd += ["--name", name]

@@ -154,9 +154,9 @@ def run_dist(cells, out_dir: str, n_workers: int,
         echo=lambda _m: None,
     )
     t0 = time.monotonic()
-    url = coord.start()
+    address = coord.start()
     procs = [
-        spawn_worker(url, workers=1, name=f"bench-w{i}")
+        spawn_worker(address, workers=1, name=f"bench-w{i}")
         for i in range(n_workers)
     ]
     try:

@@ -70,27 +70,6 @@ class ExperimentTable:
             out.append(f"  artifact: {kind} -> {path}")
         return "\n".join(out)
 
-    def render_bars(self, column: str, width: int = 40,
-                    reference: float = 1.0) -> str:
-        """Render one column as a horizontal bar chart (figure-like view).
-
-        ``reference`` draws a marker at the normalization point (1.0 for
-        the paper's normalized-performance figures).
-        """
-        values = self.column(column)
-        vmax = max(list(values) + [reference]) or 1.0
-        out = [f"== {self.name} / {column} =="]
-        ref_pos = int(round(width * reference / vmax))
-        for label, value in zip(self.rows, values):
-            length = int(round(width * value / vmax))
-            bar = list("#" * length + " " * (width - length))
-            if 0 <= ref_pos < len(bar) and bar[ref_pos] == " ":
-                bar[ref_pos] = "|"
-            out.append(f"{label:<14}{''.join(bar)} {value:.3f}")
-        gm = geomean(values)
-        out.append(f"{'GEOMEAN':<14}{'':<{width}} {gm:.3f}")
-        return "\n".join(out)
-
     def to_dict(self) -> Dict:
         return {
             "name": self.name,

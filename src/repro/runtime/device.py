@@ -274,23 +274,9 @@ class GpuDevice:
             ptr.address, ptr.nbytes, Owner.CPU, cpu_dirty=True
         )
 
-    def memcpy_to_device(self, ptr: DevicePointer) -> None:
-        """Explicit transfer (the pre-managed-memory style): pages are
-        GPU-mapped up front, so the kernel takes no faults on them."""
-        first = ptr.address >> 12
-        last = (ptr.address + ptr.nbytes - 1) >> 12
-        for vpn in range(first, last + 1):
-            if self.aspace.page_state.gpu_translate(vpn) is None:
-                self.aspace.page_state.install_gpu_page(
-                    vpn, self._cpu_frames().allocate()
-                )
-
     def read(self, ptr: DevicePointer, count: int, width: int = 4) -> list:
         """Host reads back results (contents, no timing)."""
         return self.memory.read_array(ptr.address, count, width=width)
-
-    def _cpu_frames(self) -> FrameAllocator:
-        return self._partitions[0] if self._partitions else self.frames
 
     # ------------------------------------------------------------------
     # kernel launch

@@ -25,9 +25,10 @@ Layers (each documented in its module):
 - :mod:`~repro.serve.loadgen` — seeded open- and closed-loop load and
   the bit-reproducible virtual-time driver behind ``BENCH_serve.json``
   (CLI: ``python -m repro.harness serve-bench``);
-- :mod:`~repro.serve.wire` / :mod:`~repro.serve.client` — the NDJSON
-  socket front-end (unix-socket or loopback TCP) and its typed client
-  (CLI: ``python -m repro.harness serve``; docs/SERVING.md);
+- :mod:`~repro.serve.wire` / :mod:`~repro.serve.client` — the socket
+  daemon (unix-socket or loopback TCP, on the :mod:`repro.wire`
+  protocol the dist fleet shares) and its typed client (CLI:
+  ``python -m repro.harness serve``; docs/SERVING.md);
 - :mod:`~repro.serve.metrics` — the authoritative ``serve.*`` counter
   name list the doc checker enforces.
 """
@@ -58,12 +59,8 @@ from .loadgen import (
 )
 from .metrics import SERVE_COUNTERS
 from .service import GpuService, ServeResult
-from .wire import (
-    MAX_FRAME_BYTES,
-    WIRE_PROTOCOL_VERSION,
-    ServeDaemon,
-    WireError,
-)
+from .wire import ServeDaemon
+from ..wire import MAX_FRAME_BYTES, WireError
 
 __all__ = [
     "Arrival",
@@ -87,7 +84,6 @@ __all__ = [
     "TenantState",
     "UnknownTenant",
     "VirtualTimeDriver",
-    "WIRE_PROTOCOL_VERSION",
     "WireError",
     "containment_experiment",
     "execute_request",

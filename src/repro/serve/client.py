@@ -1,9 +1,11 @@
-"""Client side of the serve wire protocol (docs/SERVING.md).
+"""Client side of the serve daemon's ops (docs/SERVING.md).
 
-:class:`ServeClient` speaks the NDJSON framing from
-:mod:`repro.serve.wire` over a unix socket (address is a path) or
-loopback TCP (address is a ``(host, port)`` tuple).  It performs the
-version handshake on connect, exposes one method per wire op, and
+:class:`ServeClient` speaks the :mod:`repro.wire` protocol over a unix
+socket (address is a path) or loopback TCP (address is a
+``(host, port)`` tuple).  It performs the version handshake on connect
+and sends and reads every frame, the hello included, through this
+module's ``encode_frame`` and ``read_frame``.  It exposes one method
+per daemon op, and
 rehydrates structured rejection payloads into the *typed*
 :class:`~repro.serve.core.ServeRejection` subclasses by their ``code``
 — so wire callers catch :class:`~repro.serve.core.QueueFull` etc.
@@ -13,7 +15,7 @@ exactly like in-process callers do.
 from __future__ import annotations
 
 import socket
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from .core import (
     QueueFull,
@@ -22,11 +24,14 @@ from .core import (
     TenantQuarantined,
     UnknownTenant,
 )
-from .wire import (
+from ..wire import (
     MAX_FRAME_BYTES,
-    WIRE_PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
+    Address,
     WireError,
+    dial,
     encode_frame,
+    handshake,
     read_frame,
 )
 
@@ -56,7 +61,7 @@ class ServeClient:
 
     def __init__(
         self,
-        address: Union[str, Tuple[str, int]],
+        address: Address,
         *,
         timeout: float = 30.0,
     ) -> None:
@@ -73,26 +78,14 @@ class ServeClient:
     def connect(self) -> "ServeClient":
         if self._sock is not None:
             return self
-        if isinstance(self.address, str):
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        sock.connect(self.address)
-        self._sock = sock
+        sock = self._sock = dial(self.address, self.timeout)
         self._rfile = sock.makefile("rb", buffering=MAX_FRAME_BYTES)
         self._wfile = sock.makefile("wb")
-        hello = self._call({
-            "op": "hello", "protocol": WIRE_PROTOCOL_VERSION,
-        })
-        if not hello.get("ok"):
-            err = hello.get("error") or {}
+        try:
+            self.server_info = handshake(self._call, PROTOCOL_VERSION)
+        except BaseException:
             self.close()
-            raise WireError(
-                f"handshake refused: [{err.get('code')}] "
-                f"{err.get('detail')}"
-            )
-        self.server_info = hello
+            raise
         return self
 
     def close(self) -> None:

@@ -1,14 +1,9 @@
-"""The socket front-end: NDJSON frames over unix-socket or loopback TCP.
+"""The serve daemon: :class:`~repro.serve.service.GpuService` behind the
+one wire protocol of :mod:`repro.wire` (NDJSON frames over a unix socket
+or loopback TCP, opened by the versioned ``hello`` handshake), which the
+dist fleet's coordinator speaks too.
 
-This is the serving analogue of :mod:`repro.harness.distproto` and
-follows the same conventions — a ``WIRE_PROTOCOL_VERSION`` both sides
-refuse to mismatch, canonical-JSON bodies, structured error payloads —
-but swaps HTTP request/response for a persistent stream of
-**newline-delimited JSON frames** (one JSON object per ``\\n``-terminated
-line, at most :data:`MAX_FRAME_BYTES` each), which fits a chatty
-submit/poll/result session far better than one HTTP round-trip per op.
-
-A connection opens with a handshake::
+A connection opens with the handshake::
 
     C: {"op": "hello", "protocol": 1}
     S: {"ok": true, "protocol": 1, "server": "repro.serve", "tenants": [...]}
@@ -37,9 +32,9 @@ then carries any number of ops (docs/SERVING.md has the full reference):
     finish (bounded by ``drain_timeout``), then the listener, asyncio
     loop and its executor threads are torn down — no orphans.
 
-:class:`ServeDaemon` hosts a :class:`~repro.serve.service.GpuService`
-on a background asyncio loop; each connection is handled by a
-``ThreadingMixIn`` daemon thread that bridges into the loop with
+:class:`ServeDaemon` is an op table on :class:`repro.wire.FrameServer`
+and hosts the service on a background asyncio loop; each connection's
+server thread bridges into the loop with
 ``asyncio.run_coroutine_threadsafe``.  All traffic is counted into the
 ``serve.wire.*`` counters (``repro.serve.metrics.SERVE_COUNTERS``).
 """
@@ -49,22 +44,12 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import dataclasses
-import json
-import os
-import socketserver
 import threading
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional
 
+from ..wire import FrameServer, WireError, error
 from .core import ServeRejection, ServiceUnavailable, TenantPolicy, UnknownTenant
 from .service import GpuService, ServeResult
-
-#: bumped on any incompatible wire change; both sides refuse mismatches
-WIRE_PROTOCOL_VERSION = 1
-
-#: one frame (a single NDJSON line, newline included) may not exceed
-#: this; the reader enforces it before parsing, so a garbage client
-#: cannot balloon the daemon's memory
-MAX_FRAME_BYTES = 1 << 20
 
 #: counter leaves under ``serve.wire.*`` (see repro.serve.metrics)
 WIRE_COUNTER_LEAVES = (
@@ -74,82 +59,10 @@ WIRE_COUNTER_LEAVES = (
 )
 
 
-class WireError(Exception):
-    """A malformed, truncated or version-mismatched wire exchange."""
-
-
-class MalformedFrame(WireError):
-    """A complete line arrived but is not a JSON object."""
-
-
-class FrameTooLarge(WireError):
-    """A line exceeded :data:`MAX_FRAME_BYTES` before its newline."""
-
-
 def register_wire_counters(registry) -> None:
     """Pre-register every ``serve.wire.*`` counter (idempotent)."""
     for leaf in WIRE_COUNTER_LEAVES:
         registry.counter(f"serve.wire.{leaf}")
-
-
-# ---------------------------------------------------------------------------
-# framing
-# ---------------------------------------------------------------------------
-
-def encode_frame(payload: Dict) -> bytes:
-    """One canonical-JSON line; raises :class:`FrameTooLarge`."""
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode() + b"\n"
-    if len(blob) > MAX_FRAME_BYTES:
-        raise FrameTooLarge(
-            f"frame of {len(blob)} bytes exceeds {MAX_FRAME_BYTES}"
-        )
-    return blob
-
-
-def decode_frame(line: bytes) -> Dict:
-    """Parse one complete line; raises :class:`MalformedFrame` unless
-    it decodes to a JSON object."""
-    try:
-        data = json.loads(line.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise MalformedFrame(f"frame is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise MalformedFrame(
-            f"frame must be a JSON object, got {type(data).__name__}"
-        )
-    return data
-
-
-def read_frame(rfile) -> Optional[Dict]:
-    """Read one frame from a buffered byte stream.
-
-    Returns ``None`` on a clean EOF (connection closed at a frame
-    boundary); raises :class:`FrameTooLarge` when a line exceeds the
-    limit, :class:`WireError` when the peer disconnected mid-frame and
-    :class:`MalformedFrame` on bad JSON."""
-    line = rfile.readline(MAX_FRAME_BYTES + 1)
-    if not line:
-        return None
-    if len(line) > MAX_FRAME_BYTES:
-        raise FrameTooLarge(
-            f"frame exceeds {MAX_FRAME_BYTES} bytes before its newline"
-        )
-    if not line.endswith(b"\n"):
-        raise WireError("peer disconnected mid-frame (no trailing newline)")
-    return decode_frame(line)
-
-
-def check_version(payload: Dict, side: str) -> None:
-    """Refuse to interoperate across protocol versions (distproto
-    convention)."""
-    version = payload.get("protocol")
-    if version != WIRE_PROTOCOL_VERSION:
-        raise WireError(
-            f"{side} speaks wire protocol {version!r}, "
-            f"this build speaks {WIRE_PROTOCOL_VERSION}"
-        )
 
 
 #: wire-settable TenantPolicy fields -> coercion
@@ -203,37 +116,16 @@ def result_to_wire(res: ServeResult) -> Dict:
     }
 
 
-def _error(code: str, detail: str) -> Dict:
-    return {"ok": False, "error": {"code": code, "detail": detail}}
-
-
-# ---------------------------------------------------------------------------
-# the daemon
-# ---------------------------------------------------------------------------
-
-class _UnixServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    #: don't join handler threads in server_close: a handler blocked
-    #: reading from a still-connected client would wedge shutdown; the
-    #: daemon threads exit on their client's EOF instead
-    block_on_close = False
-
-
-class _TcpServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    block_on_close = False
-
-
-class ServeDaemon:
-    """Host a :class:`GpuService` behind the NDJSON socket protocol.
+class ServeDaemon(FrameServer):
+    """Host a :class:`GpuService` behind the wire protocol.
 
     Exactly one of ``path`` (unix socket) or ``port`` (loopback TCP;
     0 picks an ephemeral port, read it back from ``address``) must be
     given.  ``start()`` spins up the asyncio loop thread and the
     threading socket server; ``shutdown()`` drains and tears everything
     down.  Usable as a context manager."""
+
+    thread_name = "serve-wire"
 
     def __init__(
         self,
@@ -244,19 +136,13 @@ class ServeDaemon:
         port: Optional[int] = None,
         drain_timeout: float = 30.0,
     ) -> None:
-        if (path is None) == (port is None):
-            raise ValueError("exactly one of path= or port= is required")
+        super().__init__(path=path, host=host, port=port)
         self.service = service
         self.core = service.core
-        self.path = path
-        self.host = host
-        self.port = port
         self.drain_timeout = drain_timeout
         register_wire_counters(self.core.counters)
         self._loop = asyncio.new_event_loop()
         self._loop_thread: Optional[threading.Thread] = None
-        self._serve_thread: Optional[threading.Thread] = None
-        self._server: Optional[socketserver.BaseServer] = None
         self._requests: Dict[str, concurrent.futures.Future] = {}
         self._req_lock = threading.Lock()
         self._next_id = 0
@@ -266,39 +152,14 @@ class ServeDaemon:
 
     # -- lifecycle ------------------------------------------------------
 
-    @property
-    def address(self) -> Union[str, Tuple[str, int]]:
-        """Where clients connect: the socket path, or ``(host, port)``."""
-        if self.path is not None:
-            return self.path
-        return (self.host, self.port)
-
     def start(self) -> "ServeDaemon":
-        if self._server is not None:
+        if self._loop_thread is not None:
             raise RuntimeError("daemon already started")
         self._loop_thread = threading.Thread(
             target=self._loop.run_forever, name="serve-loop", daemon=True
         )
         self._loop_thread.start()
-        daemon = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:  # noqa: D102 - bridge
-                daemon._handle(self)
-
-        if self.path is not None:
-            if os.path.exists(self.path):
-                os.unlink(self.path)
-            self._server = _UnixServer(self.path, Handler)
-        else:
-            self._server = _TcpServer((self.host, self.port), Handler)
-            self.port = self._server.server_address[1]
-        self._serve_thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="serve-wire",
-            daemon=True,
-        )
-        self._serve_thread.start()
+        self.listen()
         return self
 
     def __enter__(self) -> "ServeDaemon":
@@ -332,13 +193,7 @@ class ServeDaemon:
                 for fut in pending:
                     fut.cancel()
                 concurrent.futures.wait(pending, timeout=1.0)
-            if self._server is not None:
-                self._server.shutdown()
-                self._server.server_close()
-                if self._serve_thread is not None:
-                    self._serve_thread.join(timeout=5.0)
-            if self.path is not None and os.path.exists(self.path):
-                os.unlink(self.path)
+            self.close()
             self._loop.call_soon_threadsafe(self._loop.stop)
             if self._loop_thread is not None:
                 self._loop_thread.join(timeout=5.0)
@@ -368,88 +223,16 @@ class ServeDaemon:
                 1 for f in self._requests.values() if not f.done()
             )
 
-    # -- connection handling --------------------------------------------
+    # -- the wire surface -----------------------------------------------
 
-    def _ctr(self, leaf: str):
-        return self.core.counters.counter(f"serve.wire.{leaf}")
+    def count(self, event: str) -> None:
+        self.core.counters.counter(f"serve.wire.{event}").add(1)
 
-    def _send(self, handler, payload: Dict) -> None:
-        handler.wfile.write(encode_frame(payload))
-        handler.wfile.flush()
-        self._ctr("frames_out").add(1)
+    def hello(self) -> Dict:
+        return {"server": "repro.serve", "tenants": self.core.tenants()}
 
-    def _handle(self, handler) -> None:
-        self._ctr("connections").add(1)
-        clean = False
-        try:
-            frame = read_frame(handler.rfile)
-            if frame is None:
-                clean = True
-                return
-            self._ctr("frames_in").add(1)
-            if frame.get("op") != "hello":
-                self._ctr("errors").add(1)
-                self._send(handler, _error(
-                    "handshake-required",
-                    "first frame must be op=hello with a protocol field",
-                ))
-                return
-            if frame.get("protocol") != WIRE_PROTOCOL_VERSION:
-                self._ctr("version_mismatch").add(1)
-                self._send(handler, _error(
-                    "version-mismatch",
-                    f"client speaks wire protocol "
-                    f"{frame.get('protocol')!r}, server speaks "
-                    f"{WIRE_PROTOCOL_VERSION}",
-                ))
-                return
-            self._send(handler, {
-                "ok": True,
-                "protocol": WIRE_PROTOCOL_VERSION,
-                "server": "repro.serve",
-                "tenants": self.core.tenants(),
-            })
-            while True:
-                frame = read_frame(handler.rfile)
-                if frame is None:
-                    clean = True
-                    return
-                self._ctr("frames_in").add(1)
-                reply = self._dispatch(frame)
-                try:
-                    self._send(handler, reply)
-                finally:
-                    # Only once the reply is out: ``serve`` exits when the
-                    # teardown ends, killing this (daemon) thread mid-reply.
-                    if frame.get("op") == "shutdown":
-                        threading.Thread(
-                            target=self.shutdown,
-                            kwargs={"drain": reply["draining"]},
-                            name="serve-shutdown", daemon=True,
-                        ).start()
-        except FrameTooLarge as exc:
-            self._ctr("oversized").add(1)
-            self._try_send(handler, _error("frame-too-large", str(exc)))
-        except MalformedFrame as exc:
-            self._ctr("malformed").add(1)
-            self._try_send(handler, _error("malformed-frame", str(exc)))
-        except (WireError, ConnectionError, OSError, ValueError):
-            pass  # disconnect mid-frame / send failure: counted below
-        finally:
-            if not clean:
-                self._ctr("disconnects").add(1)
-
-    def _try_send(self, handler, payload: Dict) -> None:
-        try:
-            self._send(handler, payload)
-        except (ConnectionError, OSError, ValueError):
-            pass
-
-    # -- op dispatch -----------------------------------------------------
-
-    def _dispatch(self, frame: Dict) -> Dict:
-        op = frame.get("op")
-        handlers = {
+    def ops(self) -> Dict:
+        return {
             "ping": self._op_ping,
             "register": self._op_register,
             "submit": self._op_submit,
@@ -458,14 +241,15 @@ class ServeDaemon:
             "stats": self._op_stats,
             "shutdown": self._op_shutdown,
         }
-        fn = handlers.get(op)
-        if fn is None:
-            self._ctr("errors").add(1)
-            return _error(
-                "unknown-op",
-                f"op {op!r} is not one of {sorted(handlers)}",
-            )
-        return fn(frame)
+
+    def replied(self, frame: Dict, reply: Dict) -> None:
+        # Only once the reply is out: ``serve`` exits when the teardown
+        # ends, killing this (daemon) thread mid-reply.
+        if frame.get("op") == "shutdown":
+            threading.Thread(
+                target=self.shutdown, kwargs={"drain": reply["draining"]},
+                name="serve-shutdown", daemon=True,
+            ).start()
 
     def _op_ping(self, frame: Dict) -> Dict:
         return {"ok": True, "draining": self.draining}
@@ -473,13 +257,13 @@ class ServeDaemon:
     def _op_register(self, frame: Dict) -> Dict:
         tenant = frame.get("tenant")
         if not isinstance(tenant, str) or not tenant:
-            self._ctr("errors").add(1)
-            return _error("bad-request", "register needs a tenant name")
+            self.count("errors")
+            return error("bad-request", "register needs a tenant name")
         try:
             policy = policy_from_wire(frame.get("policy") or {})
         except WireError as exc:
-            self._ctr("errors").add(1)
-            return _error("bad-policy", str(exc))
+            self.count("errors")
+            return error("bad-policy", str(exc))
         state = self.service.register_tenant(tenant, policy)
         return {
             "ok": True,
@@ -491,13 +275,13 @@ class ServeDaemon:
         tenant = frame.get("tenant")
         spec = frame.get("spec")
         if not isinstance(tenant, str) or not isinstance(spec, dict):
-            self._ctr("errors").add(1)
-            return _error(
+            self.count("errors")
+            return error(
                 "bad-request", "submit needs a tenant and a spec object"
             )
-        self._ctr("submits").add(1)
+        self.count("submits")
         if self.draining:
-            self._ctr("rejections").add(1)
+            self.count("rejections")
             rej = ServiceUnavailable(
                 tenant, "daemon is draining for shutdown"
             )
@@ -506,7 +290,7 @@ class ServeDaemon:
         try:
             self.core.tenant(tenant)  # surface unknown-tenant eagerly
         except UnknownTenant as rej:
-            self._ctr("rejections").add(1)
+            self.count("rejections")
             return {"ok": False, "status": "rejected",
                     "rejected": rej.to_dict()}
         fut = asyncio.run_coroutine_threadsafe(
@@ -523,8 +307,8 @@ class ServeDaemon:
         with self._req_lock:
             fut = self._requests.get(rid)
         if fut is None:
-            self._ctr("errors").add(1)
-            return rid, None, _error(
+            self.count("errors")
+            return rid, None, error(
                 "unknown-id", f"no pending request with id {rid!r}"
             )
         return rid, fut, None
@@ -543,29 +327,29 @@ class ServeDaemon:
         try:
             wait = float(frame.get("wait", 30.0))
         except (TypeError, ValueError):
-            self._ctr("errors").add(1)
-            return _error("bad-request", "wait must be a number")
+            self.count("errors")
+            return error("bad-request", "wait must be a number")
         try:
             res = fut.result(timeout=max(0.0, wait))
         except ServeRejection as rej:
             self._pop(rid)
-            self._ctr("rejections").add(1)
+            self.count("rejections")
             return {"ok": False, "id": rid, "status": "rejected",
                     "rejected": rej.to_dict()}
         except concurrent.futures.TimeoutError:
             return {"ok": True, "id": rid, "status": "pending"}
         except concurrent.futures.CancelledError:
             self._pop(rid)
-            self._ctr("errors").add(1)
-            return _error("cancelled", f"request {rid} was cancelled")
+            self.count("errors")
+            return error("cancelled", f"request {rid} was cancelled")
         except Exception as exc:  # noqa: BLE001 - wire boundary
             self._pop(rid)
-            self._ctr("errors").add(1)
-            return _error(
+            self.count("errors")
+            return error(
                 "execution-error", f"{type(exc).__name__}: {exc}"
             )
         self._pop(rid)
-        self._ctr("results").add(1)
+        self.count("results")
         return {"ok": True, "id": rid, "status": "done",
                 "result": result_to_wire(res)}
 
@@ -590,7 +374,7 @@ class ServeDaemon:
         }
 
     def _op_shutdown(self, frame: Dict) -> Dict:
-        """Shed new submits at once; :meth:`_handle` starts the teardown
-        after sending this reply."""
+        """Shed new submits at once; :meth:`replied` starts the teardown
+        after this reply is sent."""
         self._draining.set()
         return {"ok": True, "draining": bool(frame.get("drain", True))}

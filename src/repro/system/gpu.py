@@ -116,19 +116,6 @@ class MultiKernelResult:
     def ipc(self) -> float:
         return self.dynamic_instructions / self.cycles if self.cycles else 0.0
 
-    def stream_summary(self) -> Dict[int, Dict[str, float]]:
-        """Per-stream aggregates: kernel launches, completion cycle (max
-        over the stream's kernels), and faulting accesses raised."""
-        out: Dict[int, Dict[str, float]] = {}
-        for k in self.kernels:
-            agg = out.setdefault(
-                k.stream, {"launches": 0, "cycles": 0.0, "faults": 0}
-            )
-            agg["launches"] += 1
-            agg["cycles"] = max(agg["cycles"], k.cycles)
-            agg["faults"] += k.faults_raised
-        return out
-
 
 class MultiKernelSimulator:
     """Cycle-level simulation of one or more kernels resident concurrently.

@@ -46,21 +46,6 @@ class FrameAllocator:
             idx = (idx + 1) % self.num_frames
         raise OutOfPhysicalMemory("no free frames")  # pragma: no cover
 
-    def allocate_contiguous(self, count: int) -> int:
-        """Allocate ``count`` contiguous frames, returning the first one."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        run = 0
-        for idx in range(self.num_frames):
-            run = run + 1 if self._free[idx] else 0
-            if run == count:
-                start = idx - count + 1
-                for j in range(start, idx + 1):
-                    self._free[j] = False
-                self._allocated += count
-                return self.first_frame + start
-        raise OutOfPhysicalMemory(f"no contiguous run of {count} frames")
-
     def release(self, frame: int) -> None:
         idx = frame - self.first_frame
         if not 0 <= idx < self.num_frames:

@@ -1,12 +1,12 @@
-"""Tests for the distributed campaign layer (:mod:`repro.harness.dist`,
-:mod:`repro.harness.distproto`): wire-protocol round-trips, byte-identity
-of the distributed merge with the serial runner, equal campaign counters
-from both drivers, coordinator crash and cross-process resume,
-lease-expiry steals with duplicate-upload dedup, 400 replies to
-malformed requests, gzip checkpoint back-compat, shared timeout-history
-flushes and the campaign dry-run."""
+"""Tests for the distributed campaign layer (:mod:`repro.harness.dist`
+on the :mod:`repro.wire` frame protocol): cell-recipe round-trips,
+byte-identity of the distributed merge with the serial runner, equal
+campaign counters from both drivers, coordinator crash and cross-process
+resume, lease-expiry steals with duplicate-upload dedup, ``bad-request``
+and ``conflict`` replies, workers that survive cut replies and never
+wedge, gzip checkpoint back-compat, shared timeout-history flushes and
+the campaign dry-run."""
 
-import gzip
 import json
 import os
 import socket
@@ -22,22 +22,26 @@ from repro.harness.dist import (
     EXIT_COORDINATOR_LOST,
     EXIT_OK,
     EXIT_PROTOCOL,
+    HEARTBEAT_MISS_BUDGET,
+    cell_from_wire,
+    cell_to_wire,
     spawn_worker,
 )
 from repro.harness.dist_bench import campaign_counters, run_dist_bench_cell
-from repro.harness.distproto import (
-    ProtocolError,
-    cell_from_wire,
-    cell_to_wire,
-    check_version,
-    post_json,
-)
 from repro.harness.runner import (
     CampaignCell,
     CampaignRunner,
     ExecutionPolicy,
     execute_cell,
     render_dry_run,
+)
+from repro.wire import (
+    PROTOCOL_VERSION,
+    WireError,
+    dial,
+    encode_frame,
+    handshake,
+    read_frame,
 )
 
 
@@ -71,6 +75,92 @@ def _run_checkpoint(cell):
     return store.build_checkpoint(outcome)
 
 
+def _request(address, frame, protocol=PROTOCOL_VERSION):
+    """One raw exchange with a coordinator at ``HOST:PORT``: hello, then
+    ``frame``; returns the reply to ``frame``."""
+    host, port = address.rsplit(":", 1)
+    with dial((host, int(port)), 10.0) as sock, \
+            sock.makefile("rb") as rfile:
+        def call(payload):
+            sock.sendall(encode_frame(payload))
+            return read_frame(rfile)
+
+        handshake(call, protocol)
+        return call(frame)
+
+
+class _StubCoordinator:
+    """A coordinator stand-in on the frame protocol, one connection at a
+    time.  It answers ``hello`` with ``hello`` (raw bytes) or a
+    coordinator's hello reply; ``lease`` with the queued ``leases``,
+    then ``idle``; ``heartbeat`` and ``upload`` with acks — except that
+    it writes only the first half of its first reply to op ``cut``,
+    closes that connection and, with ``vanish``, stops listening.
+    ``seen`` records every op frame, the cut one included."""
+
+    def __init__(self, cut=None, leases=(), idle=None, vanish=False,
+                 hello=None):
+        self.cut, self.vanish, self.hello = cut, vanish, hello
+        self.leases = list(leases)
+        self.idle = idle or {"ok": True, "done": True}
+        self.seen = []
+        self.cut_at = None
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = f"127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _reply(self, frame):
+        if frame["op"] == "lease":
+            return self.leases.pop(0) if self.leases else self.idle
+        if frame["op"] == "heartbeat":
+            return {"ok": True, "keys": frame["keys"], "done": False}
+        return {"ok": True, "dedup": False}
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # stopped listening
+            with conn, conn.makefile("rb") as rfile:
+                conn.settimeout(10.0)
+                read_frame(rfile)
+                conn.sendall(self.hello or encode_frame({
+                    "ok": True, "protocol": PROTOCOL_VERSION,
+                    "lease_seconds": 0.6, "cells": 1,
+                }))
+                frame = read_frame(rfile)
+                if frame is None:
+                    continue
+                self.seen.append(frame)
+                blob = encode_frame(self._reply(frame))
+                if frame["op"] == self.cut and self.cut_at is None:
+                    self.cut_at = time.monotonic()
+                    conn.sendall(blob[:len(blob) // 2])
+                    if self.vanish:
+                        self.close()
+                    continue
+                conn.sendall(blob)
+
+    def ops(self):
+        return [f["op"] for f in self.seen if f["op"] != "heartbeat"]
+
+    def close(self):
+        self._listener.close()
+
+
+def _run_worker(address, timeout):
+    """``DistWorker.run()`` on a thread; its exit code, or None when it
+    has not returned within ``timeout`` seconds."""
+    worker = DistWorker(address, name="t-cut", echo=lambda m: None)
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(worker.run()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return codes[0] if codes else None
+
+
 # ---------------------------------------------------------------------------
 # wire protocol
 # ---------------------------------------------------------------------------
@@ -91,18 +181,26 @@ class TestWireProtocol:
         worker never silently runs a different computation."""
         wire = cell_to_wire(_cells(1)[0])
         wire["kwargs"]["work_ms"] = 9999.0
-        with pytest.raises(ProtocolError, match="config hash"):
+        with pytest.raises(WireError, match="config hash"):
             cell_from_wire(wire)
 
     def test_unresolvable_function_rejected(self):
         wire = cell_to_wire(_cells(1)[0])
         wire["fn"] = {"module": "repro.no_such_module", "qualname": "f"}
-        with pytest.raises(ProtocolError, match="resolve"):
+        with pytest.raises(WireError, match="resolve"):
             cell_from_wire(wire)
 
-    def test_version_mismatch_rejected(self):
-        with pytest.raises(ProtocolError, match="protocol"):
-            check_version({"protocol": 999}, "coordinator")
+    def test_version_mismatch_rejected(self, tmp_path):
+        coord = CampaignCoordinator(
+            _cells(1), out_dir=str(tmp_path / "c"), echo=lambda m: None,
+        )
+        address = coord.start()
+        try:
+            with pytest.raises(WireError, match="protocol") as exc:
+                _request(address, {"op": "status"}, protocol=999)
+        finally:
+            coord.stop()
+        assert exc.value.code == "version-mismatch"
 
     def test_result_hash_ignores_duration(self):
         """Lease-steal duplicates legitimately differ in wall-clock;
@@ -135,8 +233,8 @@ class TestDistributedMerge:
         coord = CampaignCoordinator(
             cells, out_dir=dist_dir, echo=lambda m: None,
         )
-        url = coord.start()
-        worker = DistWorker(url, workers=2, name="t-w0",
+        address = coord.start()
+        worker = DistWorker(address, workers=2, name="t-w0",
                             echo=lambda m: None)
         code = worker.run()
         assert code == EXIT_OK
@@ -170,9 +268,9 @@ class TestDistributedMerge:
             coord = CampaignCoordinator(
                 cells, out_dir=fleet, resume=resume, echo=lambda m: None,
             )
-            url = coord.start()
+            address = coord.start()
             try:
-                worker = DistWorker(url, name="t-books",
+                worker = DistWorker(address, name="t-books",
                                     echo=lambda m: None)
                 assert worker.run() == EXIT_OK
                 assert coord.wait(10.0)
@@ -195,18 +293,43 @@ class TestDistributedMerge:
         assert [resumed[f"harness.campaign.{leaf}"] for leaf in
                 ("cells", "completed", "skipped", "torn")] == [3, 1, 2, 1]
 
-    def test_worker_exits_2_on_protocol_mismatch(self, tmp_path):
+    def test_worker_exits_2_on_protocol_mismatch(self, tmp_path,
+                                                 monkeypatch):
+        import repro.harness.dist as dist
+
         coord = CampaignCoordinator(
             _cells(1), out_dir=str(tmp_path / "c"), echo=lambda m: None,
         )
-        url = coord.start()
+        address = coord.start()
         try:
-            coord.describe = lambda: {"protocol": 999}
-            worker = DistWorker(url, name="t-mismatch",
+            monkeypatch.setattr(dist, "PROTOCOL_VERSION", 999)
+            worker = DistWorker(address, name="t-mismatch",
                                 echo=lambda m: None)
             assert worker.run() == EXIT_PROTOCOL
         finally:
             coord.stop()
+
+    def test_worker_exits_2_on_a_handshake_reply_that_is_not_a_frame(
+            self):
+        """A worker pointed at something that does not speak the frame
+        protocol (here: an HTTP server) refuses to start."""
+        stub = _StubCoordinator(hello=b"HTTP/1.1 400 Bad Request\r\n")
+        try:
+            worker = DistWorker(stub.address, name="t-http",
+                                echo=lambda m: None)
+            assert worker.run() == EXIT_PROTOCOL
+        finally:
+            stub.close()
+
+    def test_unparsable_coordinator_address_is_a_usage_error(self):
+        from repro.harness.__main__ import main
+
+        for bad in ("http://127.0.0.1:8970", "127.0.0.1", "host:port"):
+            with pytest.raises(ValueError, match="HOST:PORT"):
+                DistWorker(bad)
+        with pytest.raises(SystemExit) as exc:
+            main(["worker", "--coordinator", "http://127.0.0.1:8970"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +355,8 @@ class TestCoordinatorCrash:
             cells, out_dir=dist_dir, lease_seconds=1.0,
             echo=lambda m: None,
         )
-        url = coord.start()
-        procs = [spawn_worker(url, name=f"t-crash-w{i}")
+        address = coord.start()
+        procs = [spawn_worker(address, name=f"t-crash-w{i}")
                  for i in range(2)]
         try:
             deadline = time.monotonic() + 60.0
@@ -259,12 +382,12 @@ class TestCoordinatorCrash:
         resumed = CampaignCoordinator(
             cells, out_dir=dist_dir, resume=True, echo=lambda m: None,
         )
-        url = resumed.start()
+        address = resumed.start()
         assert resumed.status()["done"] >= done_before, (
             "resume must restore every checkpoint the crashed "
             "coordinator persisted"
         )
-        procs = [spawn_worker(url, name=f"t-resume-w{i}")
+        procs = [spawn_worker(address, name=f"t-resume-w{i}")
                  for i in range(2)]
         try:
             assert resumed.wait(120.0)
@@ -306,13 +429,13 @@ class TestLeaseStealAndDedup:
         assert ctr["harness.dist.lease_expiries"] == 1
 
         ckpt = _run_checkpoint(coord.cells[0])
-        status, body = coord.upload("w-fast", ckpt)
-        assert (status, body["dedup"]) == (200, False)
+        body = coord.upload("w-fast", ckpt)
+        assert (body["ok"], body["dedup"]) == (True, False)
         # the slow worker finishes anyway and re-uploads; durations
         # differ but the result hash matches -> deduplicated
         late = dict(ckpt, duration_s=ckpt["duration_s"] + 5.0)
-        status, body = coord.upload("w-slow", late)
-        assert (status, body["dedup"]) == (200, True)
+        body = coord.upload("w-slow", late)
+        assert (body["ok"], body["dedup"]) == (True, True)
         ctr = coord.counters.to_dict()["counters"]
         assert ctr["harness.dist.upload_dedup"] == 1
         assert ctr["harness.dist.uploads"] == 2
@@ -323,11 +446,12 @@ class TestLeaseStealAndDedup:
         coord = self._coordinator(tmp_path)
         coord.lease("w-a")
         ckpt = _run_checkpoint(coord.cells[0])
-        assert coord.upload("w-a", ckpt)[0] == 200
+        assert coord.upload("w-a", ckpt)["ok"]
         conflict = json.loads(json.dumps(ckpt))
         conflict["table"]["rows"]["cell-000"] = [999.0]
-        status, body = coord.upload("w-b", conflict)
-        assert status == 409
+        body = coord.upload("w-b", conflict)
+        assert body["error"]["code"] == "conflict"
+        assert body["error"]["kept"] != body["error"]["got"]
         ctr = coord.counters.to_dict()["counters"]
         assert ctr["harness.dist.upload_conflicts"] == 1
         # first write wins: the persisted checkpoint is the original
@@ -339,56 +463,55 @@ class TestLeaseStealAndDedup:
 
     def test_invalid_upload_rejected(self, tmp_path):
         coord = self._coordinator(tmp_path)
-        assert coord.upload("w", {"nonsense": 1})[0] == 400
-        assert coord.upload("w", {"key": "no/such/cell"})[0] == 400
         bad = _run_checkpoint(coord.cells[0])
         bad["config_hash"] = "0" * 16
-        assert coord.upload("w", bad)[0] == 400
+        for data in ({"nonsense": 1}, {"key": "no/such/cell"}, bad):
+            body = coord.upload("w", data)
+            assert body["error"]["code"] == "bad-request"
         ctr = coord.counters.to_dict()["counters"]
         assert ctr["harness.dist.upload_rejected"] == 3
 
-    @pytest.mark.parametrize("path,body", [
-        ("/upload", lambda c: {"checkpoint": {**c, "key": [c["key"]]}}),
-        ("/upload", lambda c: {"checkpoint": c, "upload_attempt": "two"}),
-        ("/upload", lambda c: {"checkpoint": {**c, "ledger": ["ok"]}}),
-        ("/upload", lambda c: {"checkpoint": {**c, "duration_s": "1s"}}),
-        ("/upload", lambda c: {"checkpoint": {
+    @pytest.mark.parametrize("op,body", [
+        ("upload", lambda c: {"checkpoint": {**c, "key": [c["key"]]}}),
+        ("upload", lambda c: {"checkpoint": c, "upload_attempt": "two"}),
+        ("upload", lambda c: {"checkpoint": {**c, "ledger": ["ok"]}}),
+        ("upload", lambda c: {"checkpoint": {**c, "duration_s": "1s"}}),
+        ("upload", lambda c: {"checkpoint": {
             **c, "table": {**c["table"], "rows": [1.0]}}}),
-        ("/upload", lambda c: {"checkpoint": {
+        ("upload", lambda c: {"checkpoint": {
             **c, "table": {**c["table"], "rows": {"cell-000": ["fast"]}}}}),
-        ("/upload", lambda c: {"checkpoint": {
+        ("upload", lambda c: {"checkpoint": {
             **c, "table": {**c["table"], "rows": {"cell-000": [True]}}}}),
-        ("/upload", lambda c: {"checkpoint": {
+        ("upload", lambda c: {"checkpoint": {
             **c, "status": "failed", "table": None,
             "failure": {"kind": "ChildCrash", "attempts": "three"}}}),
-        ("/heartbeat", lambda c: {"keys": 5}),
-        ("/heartbeat", lambda c: {"keys": [["x"]]}),
+        ("heartbeat", lambda c: {"keys": 5}),
+        ("heartbeat", lambda c: {"keys": [["x"]]}),
     ], ids=["upload-key-list", "upload-attempt-str", "upload-ledger-str",
             "upload-duration-str", "upload-table-rows-list",
             "upload-table-row-str", "upload-table-row-bool",
             "upload-failure-attempts-str", "heartbeat-keys-int",
             "heartbeat-keys-nested"])
-    def test_malformed_request_answered_400(self, tmp_path, path, body):
-        """A malformed field gets a 400 reply over HTTP, never a dropped
-        connection (which a worker reads as a lost coordinator); the
-        coordinator keeps serving and a valid upload still completes the
-        cell."""
+    def test_malformed_request_answered_400(self, tmp_path, op, body):
+        """A malformed field gets a ``bad-request`` reply (a 400), never
+        a dropped connection (which a worker reads as a lost
+        coordinator); the coordinator keeps serving and a valid upload
+        still completes the cell."""
         coord = self._coordinator(tmp_path, lease_seconds=15.0)
-        url = coord.start()
+        address = coord.start()
         try:
             ckpt = _run_checkpoint(coord.cells[0])
-            status, reply = post_json(
-                url + path, {"worker": "w", **body(ckpt)}, timeout=10.0,
-            )
-            assert status == 400 and reply["error"]
+            reply = _request(address, {"op": op, "worker": "w",
+                                       **body(ckpt)})
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad-request"
+            assert reply["error"]["detail"]
             rejected = coord.counters.to_dict()["counters"][
                 "harness.dist.upload_rejected"]
-            assert rejected == (1 if path == "/upload" else 0)
-            status, reply = post_json(
-                f"{url}/upload", {"worker": "w", "checkpoint": ckpt},
-                timeout=10.0,
-            )
-            assert (status, reply["dedup"]) == (200, False)
+            assert rejected == (1 if op == "upload" else 0)
+            reply = _request(address, {"op": "upload", "worker": "w",
+                                       "checkpoint": ckpt})
+            assert (reply["ok"], reply["dedup"]) == (True, False)
             assert coord.wait(5.0)
         finally:
             coord.stop()
@@ -425,7 +548,7 @@ class TestCleanShutdown:
         )
         lease = coord.lease("w-a")
         assert coord.lease("w-b").get("wait")  # joins, gets no cell
-        assert coord.upload("w-a", _run_checkpoint(coord.cells[0]))[0] == 200
+        assert coord.upload("w-a", _run_checkpoint(coord.cells[0]))["ok"]
         assert coord.lease("w-a").get("done")
         # w-b has not been told yet: linger must hold until the cap
         start = time.monotonic()
@@ -447,8 +570,8 @@ class TestCleanShutdown:
             _cells(4, work_ms=50.0), out_dir=str(tmp_path / "fleet"),
             echo=lambda m: None,
         )
-        url = coord.start()
-        procs = [spawn_worker(url, name=f"z-w{i}") for i in range(2)]
+        address = coord.start()
+        procs = [spawn_worker(address, name=f"z-w{i}") for i in range(2)]
         try:
             assert coord.wait(60.0)
             coord.linger()
@@ -462,7 +585,7 @@ class TestCleanShutdown:
         assert coord.collect().ok
 
     def test_lost_coordinator_after_done_is_a_clean_exit(self):
-        worker = DistWorker("http://127.0.0.1:1", echo=lambda m: None)
+        worker = DistWorker("127.0.0.1:1", echo=lambda m: None)
         worker._finish()
         worker._coordinator_lost("socket closed after the done ack")
         assert worker._lost is False
@@ -478,20 +601,88 @@ class TestUnreachableCoordinator:
 
         with socket.socket() as sock:  # a port nobody listens on
             sock.bind(("127.0.0.1", 0))
-            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+            port = sock.getsockname()[1]
         attempts, sleeps = [], []
-        get_json = dist.get_json
+        dial = dist.dial
 
         def counted(*args, **kwargs):
             attempts.append(args[0])
-            return get_json(*args, **kwargs)
+            return dial(*args, **kwargs)
 
-        monkeypatch.setattr(dist, "get_json", counted)
+        monkeypatch.setattr(dist, "dial", counted)
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        worker = DistWorker(url, name="t-nobody", echo=lambda m: None)
+        worker = DistWorker(f"127.0.0.1:{port}", name="t-nobody",
+                            echo=lambda m: None)
         assert worker.run() == EXIT_COORDINATOR_LOST
-        assert attempts == [f"{url}/campaign"] * 8
+        assert attempts == [("127.0.0.1", port)] * 8
         assert sleeps == [0.2, 0.4, 0.8, 1.6, 2.0, 2.0, 2.0]
+
+
+class TestCutReplies:
+    """A reply cut short is a transport failure like a refused
+    connection: it costs a heartbeat miss or a retry, and never kills a
+    worker thread."""
+
+    def test_cut_heartbeat_then_silence_exits_3_within_the_miss_budget(
+            self):
+        """The coordinator answers hello, cuts its first heartbeat reply
+        in half and stops listening: the worker must notice the loss
+        from the heartbeat misses and exit 3 instead of polling for
+        leases forever."""
+        stub = _StubCoordinator(
+            cut="heartbeat", vanish=True,
+            idle={"ok": True, "wait": True, "retry_after": 0.05},
+        )
+        try:
+            code = _run_worker(stub.address, timeout=20.0)
+        finally:
+            stub.close()
+        assert code == EXIT_COORDINATOR_LOST
+        assert stub.cut_at is not None
+        interval = 0.2  # a third of the stub's 0.6 s lease
+        budget = (HEARTBEAT_MISS_BUDGET + 1) * interval
+        assert time.monotonic() - stub.cut_at < budget + 2.0
+
+    def test_supervisor_survives_a_cut_lease_reply(self):
+        stub = _StubCoordinator(cut="lease")
+        try:
+            code = _run_worker(stub.address, timeout=20.0)
+        finally:
+            stub.close()
+        assert code == EXIT_OK
+        # the cut lease was retried and its reply said "done"
+        assert stub.ops() == ["lease", "lease"]
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_reply_the_worker_cannot_read_stops_it_with_exit_3(self):
+        """A frame whose fields make no sense kills no thread silently:
+        the worker stops and reports the coordinator lost instead of
+        exiting 0 with the matrix unfinished."""
+        stub = _StubCoordinator(
+            leases=[{"ok": True, "wait": True, "retry_after": "soon"}],
+            idle={"ok": True, "wait": True, "retry_after": 0.05},
+        )
+        try:
+            code = _run_worker(stub.address, timeout=20.0)
+        finally:
+            stub.close()
+        assert code == EXIT_COORDINATOR_LOST
+
+    def test_supervisor_survives_a_cut_upload_reply(self):
+        cell = _cells(1, work_ms=1.0)[0]
+        stub = _StubCoordinator(cut="upload", leases=[{
+            "ok": True, "cell": cell_to_wire(cell), "lease_seconds": 15.0,
+        }])
+        try:
+            code = _run_worker(stub.address, timeout=60.0)
+        finally:
+            stub.close()
+        assert code == EXIT_OK
+        assert stub.ops() == ["lease", "upload", "upload", "lease"]
+        uploads = [f for f in stub.seen if f["op"] == "upload"]
+        assert [f["upload_attempt"] for f in uploads] == [1, 2]
+        assert uploads[1]["checkpoint"]["key"] == cell.key
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Rendering tests for result tables and bar charts."""
+"""Rendering tests for result tables."""
 
 import pytest
 
@@ -24,20 +24,3 @@ class TestRender:
     def test_custom_format(self, table):
         text = table.render(fmt="{:.1f}")
         assert "0.5" in text and "0.50" not in text
-
-    def test_bars_scale_to_max(self, table):
-        bars = table.render_bars("a", width=20)
-        lines = bars.splitlines()
-        alpha = next(l for l in lines if l.startswith("alpha"))
-        beta = next(l for l in lines if l.startswith("beta"))
-        assert beta.count("#") > alpha.count("#")
-        assert beta.count("#") == 20  # the max fills the width
-
-    def test_bars_reference_marker(self, table):
-        bars = table.render_bars("a", width=20, reference=1.0)
-        alpha = next(l for l in bars.splitlines() if l.startswith("alpha"))
-        assert "|" in alpha  # the 1.0 marker beyond the 0.5 bar
-
-    def test_bars_unknown_column(self, table):
-        with pytest.raises(ValueError):
-            table.render_bars("zzz")

@@ -70,8 +70,12 @@ class TestManagedMemory:
         y = dev.malloc_managed(N * 4)
         dev.fill(x, [1.0] * N)
         dev.fill(y, [0.0] * N)
-        dev.memcpy_to_device(x)
-        dev.memcpy_to_device(y)
+        for ptr in (x, y):  # the pre-managed-memory style: map up front
+            state = dev.aspace.page_state
+            for vpn in range(ptr.address >> 12,
+                             ((ptr.address + ptr.nbytes - 1) >> 12) + 1):
+                if state.gpu_translate(vpn) is None:
+                    state.install_gpu_page(vpn, dev.frames.allocate())
         res = dev.launch(saxpy_kernel(), N_BLOCKS, BLOCK, args=[x, y, 1.0])
         assert res.fault_stats.groups_resolved == 0
 

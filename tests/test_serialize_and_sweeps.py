@@ -17,6 +17,7 @@ from repro.functional.serialize import (
 from repro.harness.chaos_campaign import architectural_digest
 from repro.system import GpuSimulator
 from repro.workloads import MICRO, get_workload
+from tests.test_interpreter import global_memory_instructions, touched_pages
 
 
 #: the kernels the serve-open benchmark sends and the preemptible schemes
@@ -103,11 +104,9 @@ class TestTraceRoundtrip:
         buf.seek(0)
         _, trace2 = load_trace(buf)
         assert trace2.dynamic_instructions() == trace.dynamic_instructions()
-        assert (
-            trace2.global_memory_instructions()
-            == trace.global_memory_instructions()
-        )
-        assert trace2.touched_pages() == trace.touched_pages()
+        assert global_memory_instructions(trace2) \
+            == global_memory_instructions(trace)
+        assert touched_pages(trace2) == touched_pages(trace)
 
     def test_file_path_roundtrip(self, tmp_path):
         wl = MICRO.fresh("saxpy")

@@ -132,15 +132,6 @@ class TestFrameAllocator:
         with pytest.raises(ValueError):
             alloc.release(5)
 
-    def test_contiguous(self):
-        alloc = FrameAllocator(16)
-        start = alloc.allocate_contiguous(8)
-        assert start == 0
-        start2 = alloc.allocate_contiguous(8)
-        assert start2 == 8
-        with pytest.raises(OutOfPhysicalMemory):
-            alloc.allocate_contiguous(1)
-
     def test_partition_disjoint(self):
         alloc = FrameAllocator(10)
         parts = alloc.partition(3)

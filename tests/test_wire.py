@@ -18,17 +18,17 @@ from repro.serve import (
     ServeDaemon,
     ServiceUnavailable,
     UnknownTenant,
-    WIRE_PROTOCOL_VERSION,
     WireError,
 )
 from repro.serve.client import rejection_from_wire
 from repro.serve.core import QueueFull, ServeRejection, TenantQuarantined
-from repro.serve.wire import (
+from repro.serve.wire import policy_from_wire
+from repro.wire import (
+    PROTOCOL_VERSION,
     FrameTooLarge,
     MalformedFrame,
     decode_frame,
     encode_frame,
-    policy_from_wire,
     read_frame,
 )
 
@@ -88,7 +88,7 @@ def raw_call(sock, payload_bytes):
     return json.loads(buf)
 
 
-def hello(sock, protocol=WIRE_PROTOCOL_VERSION):
+def hello(sock, protocol=PROTOCOL_VERSION):
     return raw_call(
         sock, encode_frame({"op": "hello", "protocol": protocol})
     )
@@ -135,12 +135,12 @@ class TestFraming:
 class TestHandshake:
     def test_hello_returns_server_info(self, daemon):
         with ServeClient(daemon.address) as client:
-            assert client.server_info["protocol"] == WIRE_PROTOCOL_VERSION
+            assert client.server_info["protocol"] == PROTOCOL_VERSION
             assert client.server_info["server"] == "repro.serve"
 
     def test_version_mismatch_is_refused_and_counted(self, daemon):
         sock = raw_connect(daemon.address)
-        reply = hello(sock, protocol=WIRE_PROTOCOL_VERSION + 1)
+        reply = hello(sock, protocol=PROTOCOL_VERSION + 1)
         sock.close()
         assert reply["ok"] is False
         assert reply["error"]["code"] == "version-mismatch"
@@ -152,7 +152,7 @@ class TestHandshake:
         import repro.serve.client as client_mod
 
         monkeypatch.setattr(
-            client_mod, "WIRE_PROTOCOL_VERSION", WIRE_PROTOCOL_VERSION + 9
+            client_mod, "PROTOCOL_VERSION", PROTOCOL_VERSION + 9
         )
         with pytest.raises(WireError, match="version-mismatch"):
             ServeClient(daemon.address).connect()

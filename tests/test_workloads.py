@@ -15,6 +15,7 @@ from repro.workloads import (
     PARBOIL_NAMES,
     get_workload,
 )
+from tests.test_interpreter import global_memory_instructions, touched_pages
 
 EXPECTED_PARBOIL = {
     "bfs", "cutcp", "histo", "lbm", "mri-gridding", "mri-q", "sad",
@@ -64,12 +65,12 @@ class TestParboilWorkloads:
         wl = get_workload(name)
         trace = wl.trace()
         assert trace.dynamic_instructions() > 1000
-        assert trace.global_memory_instructions() > 100
+        assert global_memory_instructions(trace) > 100
 
     def test_addresses_inside_segments(self, name):
         wl = get_workload(name)
         aspace = wl.make_address_space()
-        valid = wl.trace().touched_pages()
+        valid = touched_pages(wl.trace())
         for vpn in valid:
             assert aspace.page_state.is_valid(vpn), hex(vpn * 4096)
 
@@ -166,7 +167,7 @@ class TestHallocWorkloads:
         assert trace.dynamic_instructions() > 0
         # heap pages must be touched (first-touch fault sources)
         heap_base_page = wl.make_address_space().segment("heap").base >> 12
-        assert any(p >= heap_base_page for p in trace.touched_pages())
+        assert any(p >= heap_base_page for p in touched_pages(trace))
 
     def test_heap_sized_for_demand(self, name):
         wl = HALLOC.fresh(name)
