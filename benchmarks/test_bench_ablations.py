@@ -13,24 +13,19 @@
 
 from conftest import show
 
-from repro.core import make_scheme, preemption_latency_experiment
+from repro.core import preemption_latency_experiment
 from repro.core.schemes import WarpDisableCommit
-from repro.harness import DEFAULT_TIME_SCALE
 from repro.harness.results import ExperimentTable
 from repro.opt import count_memory_war_hazards, rename_war_registers
-from repro.system import GPUConfig, GpuSimulator, NVLINK
-from repro.workloads import get_workload
+from repro.system import DEFAULT_TIME_SCALE, GpuSimulator
 from repro.workloads.parboil import Lbm
 
 
 def test_bench_preemption_latency(benchmark):
-    config = GPUConfig().time_scaled(DEFAULT_TIME_SCALE)
-    wl = get_workload("stream-sum")
-
     def run():
         return preemption_latency_experiment(
-            wl, make_scheme("replay-queue"), NVLINK.scaled(DEFAULT_TIME_SCALE),
-            config, request_fraction=0.05,
+            "stream-sum", "replay-queue", request_fraction=0.05,
+            time_scale=DEFAULT_TIME_SCALE,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -50,17 +45,13 @@ def test_bench_war_renaming(benchmark):
     wl = Lbm(grid_dim=32, iters=3)
     renamed_kernel, renamed = rename_war_registers(wl.kernel, extra_regs=24)
 
-    def cycles(kernel, workload):
-        sim = GpuSimulator(
-            kernel, workload.trace(), workload.make_address_space(),
-            scheme=make_scheme("replay-queue"), paging="premapped",
-        )
-        return sim.run().cycles
+    def cycles(workload):
+        return GpuSimulator.for_workload(workload, "replay-queue").run().cycles
 
     def run():
         wl2 = Lbm(grid_dim=32, iters=3)
         wl2._kernel = renamed_kernel
-        return cycles(wl.kernel, wl), cycles(renamed_kernel, wl2)
+        return cycles(wl), cycles(wl2)
 
     plain, improved = benchmark.pedantic(run, rounds=1, iterations=1)
     table = ExperimentTable(
@@ -75,14 +66,9 @@ def test_bench_war_renaming(benchmark):
 
 
 def test_bench_arithmetic_coverage(benchmark):
-    wl = get_workload("mri-q")  # SFU-heavy (sin/cos; divide-free)
-
     def cycles(scheme):
-        sim = GpuSimulator(
-            wl.kernel, wl.trace(), wl.make_address_space(),
-            scheme=scheme, paging="premapped",
-        )
-        return sim.run().cycles
+        # mri-q is SFU-heavy (sin/cos) and divide-free
+        return GpuSimulator.for_workload("mri-q", scheme).run().cycles
 
     def run():
         return (

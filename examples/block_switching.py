@@ -8,42 +8,30 @@ activity and speedup (paper Section 4.1 / Figure 12).
 Run:  python examples/block_switching.py
 """
 
-from repro.core import make_scheme
-from repro.harness import DEFAULT_TIME_SCALE
-from repro.system import GPUConfig, GpuSimulator, NVLINK
+from repro.system import DEFAULT_TIME_SCALE, GPUConfig, GpuSimulator
 from repro.workloads import get_workload
 
 
-def simulate(wl, config, interconnect, switching, ideal=False):
-    sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        config=config,
-        scheme=make_scheme("replay-queue"),
-        paging="demand",
-        interconnect=interconnect,
-        block_switching=switching,
-        ideal_switch=ideal,
-    )
-    return sim.run()
+def simulate(**kwargs):
+    return GpuSimulator.for_workload(
+        "sgemm", "replay-queue", time_scale=DEFAULT_TIME_SCALE,
+        interconnect="nvlink", paging="demand", **kwargs,
+    ).run()
 
 
 def main():
-    ts = DEFAULT_TIME_SCALE
-    config = GPUConfig().time_scaled(ts)
-    nvlink = NVLINK.scaled(ts)
+    config = GPUConfig()
     wl = get_workload("sgemm")
     print(f"sgemm: grid={wl.grid_dim} blocks, "
           f"{config.blocks_per_sm(wl.kernel, wl.block_dim) * config.num_sms} "
           f"resident -> pending blocks exist to switch in")
 
-    base = simulate(wl, config, nvlink, switching=False)
+    base = simulate()
     print(f"\nno switching   : {base.cycles:9.0f} cycles, "
           f"{base.fault_stats.groups_resolved} fault groups "
           f"({base.fault_stats.migrations} migrations)")
 
-    sw = simulate(wl, config, nvlink, switching=True)
+    sw = simulate(block_switching=True)
     outs = sum(s.block_switch_outs for s in sw.sm_stats)
     ins = sum(s.block_switch_ins for s in sw.sm_stats)
     extra = sum(s.extra_blocks_fetched for s in sw.sm_stats)
@@ -51,7 +39,7 @@ def main():
           f"(switch-outs {outs}, restores {ins}, extra blocks {extra})")
     print(f"speedup: {base.cycles / sw.cycles:.3f}x")
 
-    ideal = simulate(wl, config, nvlink, switching=True, ideal=True)
+    ideal = simulate(block_switching=True, ideal_switch=True)
     print(f"ideal 1-cycle switching: {ideal.cycles:9.0f} cycles "
           f"(speedup {base.cycles / ideal.cycles:.3f}x)")
 

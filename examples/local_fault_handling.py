@@ -9,39 +9,28 @@ Figure 13).
 Run:  python examples/local_fault_handling.py
 """
 
-from repro.core import make_scheme
-from repro.harness import DEFAULT_TIME_SCALE
-from repro.system import GPUConfig, GpuSimulator, INTERCONNECTS
-from repro.workloads import get_workload
+from repro.system import (
+    DEFAULT_TIME_SCALE, GPUConfig, GpuSimulator, INTERCONNECTS,
+)
 
 
-def simulate(wl, config, interconnect, local):
-    sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        config=config,
-        scheme=make_scheme("replay-queue"),
-        paging="demand-heap",
-        interconnect=interconnect,
+def simulate(interconnect, local):
+    return GpuSimulator.for_workload(
+        "quad-tree", "replay-queue", time_scale=DEFAULT_TIME_SCALE,
+        interconnect=interconnect, paging="demand-heap",
         local_handling=local,
-    )
-    return sim.run()
+    ).run()
 
 
 def main():
-    ts = DEFAULT_TIME_SCALE
-    config = GPUConfig().time_scaled(ts)
-    wl = get_workload("quad-tree")
     print(f"quad-tree: every level allocates its children with device "
           f"malloc;\nfirst stores to fresh heap granules fault "
           f"(handler latency: CPU {INTERCONNECTS['nvlink'].alloc_cost/1000:.0f}us"
           f" unloaded vs GPU {GPUConfig().gpu_handler_latency/1000:.0f}us)\n")
 
     for ic_name in ("nvlink", "pcie"):
-        ic = INTERCONNECTS[ic_name].scaled(ts)
-        cpu = simulate(wl, config, ic, local=False)
-        gpu = simulate(wl, config, ic, local=True)
+        cpu = simulate(ic_name, local=False)
+        gpu = simulate(ic_name, local=True)
         fs = gpu.fault_stats
         print(f"[{ic_name}] CPU handling: {cpu.cycles:9.0f} cycles | "
               f"GPU-local: {gpu.cycles:9.0f} cycles "

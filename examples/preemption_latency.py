@@ -7,24 +7,19 @@ immediately.
 Run:  python examples/preemption_latency.py
 """
 
-from repro.core import make_scheme, preemption_latency_experiment
-from repro.harness import DEFAULT_TIME_SCALE
-from repro.system import GPUConfig, NVLINK
-from repro.workloads import get_workload
+from repro.core import preemption_latency_experiment
+from repro.system import DEFAULT_TIME_SCALE
 
 
 def main():
-    config = GPUConfig().time_scaled(DEFAULT_TIME_SCALE)
-    nvlink = NVLINK.scaled(DEFAULT_TIME_SCALE)
     print("preemption request arrives while faults are in flight;")
     print("worst-case context-switch latency across SMs (cycles):\n")
     print(f"{'workload':14s} {'request@':>10s} {'preemptible':>12s} "
           f"{'stall-on-fault':>15s} {'ratio':>7s}")
     for name in ("stream-sum", "sgemm", "lbm"):
-        wl = get_workload(name)
         result = preemption_latency_experiment(
-            wl, make_scheme("replay-queue"), nvlink, config,
-            request_fraction=0.1,
+            name, "replay-queue", request_fraction=0.1,
+            time_scale=DEFAULT_TIME_SCALE, interconnect="nvlink",
         )
         pre, stall = result["preemptible"], result["stall-on-fault"]
         ratio = stall / max(pre, 1.0)

@@ -10,21 +10,14 @@ Run:  python examples/scheme_comparison.py [benchmark]
 
 import sys
 
-from repro.core import OperandLog, make_scheme
+from repro.core import OperandLog
 from repro.core.area_power import overheads
 from repro.system import GpuSimulator
 from repro.workloads import get_workload
 
 
 def simulate(wl, scheme):
-    sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        scheme=scheme,
-        paging="premapped",
-    )
-    return sim.run()
+    return GpuSimulator.for_workload(wl, scheme, paging="premapped").run()
 
 
 def main():
@@ -33,12 +26,12 @@ def main():
     print(f"benchmark: {name} "
           f"({wl.trace().dynamic_instructions()} dynamic instructions)\n")
 
-    base = simulate(wl, make_scheme("baseline")).cycles
+    base = simulate(wl, "baseline").cycles
     print(f"{'scheme':18s} {'cycles':>10s} {'vs baseline':>12s} "
           f"{'GPU area':>9s} {'GPU power':>10s}")
     print(f"{'baseline':18s} {base:10.0f} {1.0:12.3f} {'-':>9s} {'-':>10s}")
     for s in ("wd-commit", "wd-lastcheck", "replay-queue"):
-        cycles = simulate(wl, make_scheme(s)).cycles
+        cycles = simulate(wl, s).cycles
         print(f"{s:18s} {cycles:10.0f} {base / cycles:12.3f} "
               f"{'0%':>9s} {'0%':>10s}")
     for kb in (8, 16, 32):

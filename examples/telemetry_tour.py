@@ -10,24 +10,15 @@ dump).  See docs/OBSERVABILITY.md for the full story.
 Run:  python examples/telemetry_tour.py
 """
 
-from repro.core import make_scheme
 from repro.system import GpuSimulator
 from repro.telemetry import Telemetry, ev
-from repro.workloads import get_workload
 
 
 def main():
-    wl = get_workload("saxpy")
     tel = Telemetry(sample_interval=500)
-    sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        scheme=make_scheme("replay-queue"),
-        paging="demand",
-        telemetry=tel,
-    )
-    result = sim.run()
+    result = GpuSimulator.for_workload(
+        "saxpy", "replay-queue", paging="demand", telemetry=tel,
+    ).run()
     print(f"saxpy/replay-queue/demand: {result.cycles:.0f} cycles, "
           f"{tel.tracer.recorded} events recorded "
           f"({tel.tracer.dropped} dropped)\n")

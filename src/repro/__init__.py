@@ -9,13 +9,14 @@ virtual-memory stack, and a timing model of the memory hierarchy.
 
 Quickstart::
 
-    from repro.workloads import get_workload
-    from repro.core import make_scheme
-    from repro.system import GpuSimulator
+    from repro.system import DEFAULT_TIME_SCALE, GpuSimulator
 
-    wl = get_workload("saxpy")
-    sim = GpuSimulator(wl.kernel, wl.trace(), wl.make_address_space(),
-                       scheme=make_scheme("replay-queue"))
+    sim = GpuSimulator.for_workload("saxpy", "replay-queue")
+    print(sim.run().cycles)
+
+    # demand paging with the fault constants divided by the time scale
+    sim = GpuSimulator.for_workload("saxpy", "replay-queue", paging="demand",
+                                    time_scale=DEFAULT_TIME_SCALE)
     print(sim.run().cycles)
 """
 

@@ -100,38 +100,25 @@ def measure_preemption_latency(
 def preemption_latency_experiment(
     workload,
     scheme: PipelineScheme,
-    interconnect,
-    config,
     request_fraction: float = 0.3,
+    **kwargs,
 ) -> Dict[str, float]:
     """Convenience wrapper: run ``workload`` under demand paging, request
     preemption part-way through, and report worst-case latencies.
+    ``kwargs`` (``time_scale``, ``interconnect``, ``config``, ...) go to
+    :meth:`~repro.system.GpuSimulator.for_workload`.
 
     Returns ``{"preemptible": cycles, "stall-on-fault": cycles,
     "request_time": t}``.
     """
     from repro.system.gpu import GpuSimulator
 
-    probe = GpuSimulator(
-        kernel=workload.kernel,
-        trace=workload.trace(),
-        address_space=workload.make_address_space(),
-        config=config,
-        scheme=scheme,
-        paging="demand",
-        interconnect=interconnect,
-    )
-    total = probe.run().cycles
+    def build() -> "GpuSimulator":
+        return GpuSimulator.for_workload(workload, scheme, paging="demand",
+                                         **kwargs)
 
-    sim = GpuSimulator(
-        kernel=workload.kernel,
-        trace=workload.trace(),
-        address_space=workload.make_address_space(),
-        config=config,
-        scheme=scheme,
-        paging="demand",
-        interconnect=interconnect,
-    )
+    total = build().run().cycles
+    sim = build()
     request_time = total * request_fraction
     reports = measure_preemption_latency(sim, request_time)
     sim._release()  # stopped mid-run: unwire it so refcounting frees it

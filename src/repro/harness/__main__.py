@@ -720,7 +720,7 @@ def _mc_main(argv) -> int:
         replay_trace,
         run_mc_scenario,
     )
-    from repro.mc.scenarios import MC_CYCLE_BUDGET, MC_TIME_SCALE
+    from repro.mc.scenarios import MC_CYCLE_BUDGET
     from repro.telemetry import CounterRegistry
 
     parser = argparse.ArgumentParser(
@@ -754,7 +754,7 @@ def _mc_main(argv) -> int:
         "--policy", default="partition", choices=["partition", "interleave"],
         help="SM-to-stream assignment policy",
     )
-    parser.add_argument("--time-scale", type=float, default=MC_TIME_SCALE)
+    parser.add_argument("--time-scale", type=float, default=DEFAULT_TIME_SCALE)
     parser.add_argument("--cycle-budget", type=float,
                         default=MC_CYCLE_BUDGET,
                         help="watchdog no-progress window per execution")

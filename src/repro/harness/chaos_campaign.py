@@ -21,52 +21,18 @@ through :func:`build_chaos_cells`, as a sharded soak campaign
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.chaos import ChaosConfig, ChaosEngine, Watchdog
-from repro.core import make_scheme
-from repro.system import GPUConfig, GpuSimulator, INTERCONNECTS
+from repro.system import (
+    DEFAULT_TIME_SCALE, GPUConfig, GpuSimulator, architectural_digest,
+)
 from repro.workloads import get_workload
 
-from .experiments import DEFAULT_TIME_SCALE
 from .results import ExperimentTable
 
 #: schemes a default campaign exercises (the paper's preemptible ones)
 DEFAULT_CAMPAIGN_SCHEMES = ("wd-commit", "replay-queue", "operand-log")
-
-
-def architectural_digest(sim: GpuSimulator) -> Tuple:
-    """Hashable summary of a finished run's architectural memory state.
-
-    Captures the *architecturally visible* outcome — which virtual pages
-    ended GPU-mapped, how many blocks retired, how many instructions
-    committed — and deliberately excludes the vpn->ppn assignment:
-    injection legitimately reorders fault resolution, and with it which
-    physical frame each page happens to land in.
-    """
-    page_state = sim.address_space.page_state
-    return (
-        tuple(page_state.gpu_table.mapped_vpns()),
-        sum(sm.stats.blocks_completed for sm in sim.sms),
-        sum(sm.stats.committed for sm in sim.sms),
-    )
-
-
-def _build_sim(
-    wl, scheme_name: str, paging: str, cfg, ic, chaos=None, watchdog=None
-) -> GpuSimulator:
-    return GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        config=cfg,
-        scheme=make_scheme(scheme_name),
-        interconnect=ic,
-        paging=paging,
-        chaos=chaos,
-        watchdog=watchdog,
-        sanitize=chaos is not None,
-    )
 
 
 def run_chaos_campaign(
@@ -85,15 +51,25 @@ def run_chaos_campaign(
     For every scheme the table reports the clean cycle count, the chaotic
     cycle count, the slowdown, the number of injections fired, and
     ``state-match`` — 1.0 iff the chaotic run's
-    :func:`architectural_digest` equals the clean run's (the campaign's
-    pass criterion).  ``intensity`` scales every hook's firing rate
-    (see :meth:`repro.chaos.ChaosConfig.scaled`); ``cycle_budget``
-    overrides the watchdog's no-progress window.
+    :func:`~repro.system.architectural_digest` equals the clean run's
+    (the campaign's pass criterion).  ``intensity`` scales every hook's
+    firing rate (see :meth:`repro.chaos.ChaosConfig.scaled`);
+    ``cycle_budget`` overrides the watchdog's no-progress window.
     """
     wl = get_workload(workload)
-    cfg = (config or GPUConfig()).time_scaled(time_scale)
-    ic = INTERCONNECTS[interconnect].scaled(time_scale)
     chaos_cfg = ChaosConfig(seed=seed).scaled(intensity)
+
+    def run(scheme_name, chaos=None, watchdog=None):
+        sim = GpuSimulator.for_workload(
+            wl, scheme_name, time_scale=time_scale,
+            interconnect=interconnect, config=config, paging=paging,
+            chaos=chaos, watchdog=watchdog, sanitize=chaos is not None,
+        )
+        result = sim.run()
+        state = architectural_digest(sim.address_space.page_state,
+                                     result.sm_stats)
+        return result, state
+
     table = ExperimentTable(
         name="chaos",
         description=(
@@ -111,19 +87,13 @@ def run_chaos_campaign(
         show_geomean=False,
     )
     for scheme_name in schemes:
-        base_sim = _build_sim(wl, scheme_name, paging, cfg, ic)
-        base = base_sim.run()
+        base, base_state = run(scheme_name)
         chaos = ChaosEngine(chaos_cfg)
         watchdog = (
             Watchdog(cycle_budget) if cycle_budget is not None else Watchdog()
         )
-        chaos_sim = _build_sim(
-            wl, scheme_name, paging, cfg, ic, chaos=chaos, watchdog=watchdog
-        )
-        chaotic = chaos_sim.run()
-        match = architectural_digest(base_sim) == architectural_digest(
-            chaos_sim
-        )
+        chaotic, chaos_state = run(scheme_name, chaos, watchdog)
+        match = base_state == chaos_state
         table.add_row(
             scheme_name,
             [
@@ -135,18 +105,6 @@ def run_chaos_campaign(
             ],
         )
     return table
-
-
-def _stream_digest(device, result) -> Tuple:
-    """:func:`architectural_digest` for a multi-kernel (stream) run: the
-    device-level GPU page mappings plus the merged per-SM retire/commit
-    totals, frame assignment again excluded."""
-    page_state = device.aspace.page_state
-    return (
-        tuple(page_state.gpu_table.mapped_vpns()),
-        sum(s.blocks_completed for s in result.sm_stats),
-        sum(s.committed for s in result.sm_stats),
-    )
 
 
 def run_stream_chaos_campaign(
@@ -207,18 +165,18 @@ def run_stream_chaos_campaign(
             policy=policy, chaos=chaos, watchdog=watchdog,
             sanitize=chaos is not None,
         )
-        return device, result
+        state = architectural_digest(device.aspace.page_state,
+                                     result.sm_stats)
+        return result, state
 
     for scheme_name in schemes:
-        base_dev, base = _overlapped(scheme_name, None, None)
+        base, base_state = _overlapped(scheme_name, None, None)
         chaos = ChaosEngine(chaos_cfg)
         watchdog = (
             Watchdog(cycle_budget) if cycle_budget is not None else Watchdog()
         )
-        chaos_dev, chaotic = _overlapped(scheme_name, chaos, watchdog)
-        match = _stream_digest(base_dev, base) == _stream_digest(
-            chaos_dev, chaotic
-        )
+        chaotic, chaos_state = _overlapped(scheme_name, chaos, watchdog)
+        match = base_state == chaos_state
         table.add_row(
             scheme_name,
             [

@@ -12,40 +12,30 @@ microsecond-range constants (fault round trips, handler latencies).  Our
 datasets are scaled down from the Parboil defaults to keep Python simulation
 tractable, so these constants are divided by ``DEFAULT_TIME_SCALE`` to keep
 the dimensionless ratios (fault-handling time vs. kernel time, pending-queue
-depths, link occupancy) in the paper's regime.  Pass ``time_scale=1`` to run
-with the unscaled constants.
+depths, link occupancy) in the paper's regime.  Every run goes through
+:meth:`~repro.system.GpuSimulator.for_workload`, which divides the GPU
+handler constants and the link costs together.  Pass ``time_scale=1`` to
+run with the unscaled constants.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core import OperandLog, make_scheme
+from repro.core import OperandLog
 from repro.core.area_power import table2 as area_power_table2
-from repro.system import GpuSimulator, GPUConfig, INTERCONNECTS, SimResult
-from repro.workloads import HALLOC_NAMES, PARBOIL_NAMES, get_workload
+from repro.system import DEFAULT_TIME_SCALE, GpuSimulator, GPUConfig
+from repro.workloads import HALLOC_NAMES, PARBOIL_NAMES
 
 from .results import ExperimentTable
-
-#: divide the paper's microsecond constants by this (see module docstring)
-DEFAULT_TIME_SCALE = 8.0
 
 #: subset used by quick (CI) runs
 QUICK_PARBOIL = ("lbm", "sgemm", "histo", "spmv")
 QUICK_HALLOC = ("alloc-cycle", "quad-tree")
 
 
-def _run(workload, scheme, *, paging="premapped", config=None, **kw) -> SimResult:
-    sim = GpuSimulator(
-        kernel=workload.kernel,
-        trace=workload.trace(),
-        address_space=workload.make_address_space(),
-        config=config,
-        scheme=scheme,
-        paging=paging,
-        **kw,
-    )
-    return sim.run()
+def _cycles(workload, scheme, **kwargs) -> float:
+    return GpuSimulator.for_workload(workload, scheme, **kwargs).run().cycles
 
 
 def _parboil_names(quick: bool, names: Optional[Sequence[str]]) -> List[str]:
@@ -86,12 +76,8 @@ def run_fig10(
                "replay-queue 0.94; lbm replay-queue 0.60"],
     )
     for name in _parboil_names(quick, workloads):
-        wl = get_workload(name)
-        base = _run(wl, make_scheme("baseline")).cycles
-        row = [
-            base / _run(wl, make_scheme(s)).cycles
-            for s in table.columns
-        ]
+        base = _cycles(name, "baseline")
+        row = [base / _cycles(name, s) for s in table.columns]
         table.add_row(name, row)
     return table
 
@@ -114,9 +100,8 @@ def run_fig11(
                "lbm improves from 0.60 (replay queue) to 0.97 at 16KB"],
     )
     for name in _parboil_names(quick, workloads):
-        wl = get_workload(name)
-        base = _run(wl, make_scheme("baseline")).cycles
-        row = [base / _run(wl, OperandLog(kb)).cycles for kb in sizes]
+        base = _cycles(name, "baseline")
+        row = [base / _cycles(name, OperandLog(kb)) for kb in sizes]
         table.add_row(name, row)
     return table
 
@@ -174,26 +159,17 @@ def run_fig12(
             "mri-gridding 0.85; geomean ~1.0",
         ],
     )
-    config = (base_config or GPUConfig()).time_scaled(time_scale)
     for name in _parboil_names(quick, workloads):
-        wl = get_workload(name)
         row = []
-        for ic_name in interconnects:
-            ic = INTERCONNECTS[ic_name].scaled(time_scale)
-            base = _run(
-                wl, make_scheme("replay-queue"), paging="demand",
-                config=config, interconnect=ic,
-            ).cycles
-            variants = [dict(ideal_switch=False)]
+        for ic in interconnects:
+            kwargs = dict(paging="demand", time_scale=time_scale,
+                          interconnect=ic, config=base_config)
+            base = _cycles(name, "replay-queue", **kwargs)
+            kwargs["block_switching"] = True
+            row.append(base / _cycles(name, "replay-queue", **kwargs))
             if ideal:
-                variants.append(dict(ideal_switch=True))
-            for var in variants:
-                cycles = _run(
-                    wl, make_scheme("replay-queue"), paging="demand",
-                    config=config, interconnect=ic, block_switching=True,
-                    **var,
-                ).cycles
-                row.append(base / cycles)
+                row.append(base / _cycles(name, "replay-queue",
+                                          ideal_switch=True, **kwargs))
         table.add_row(name, row)
     return table
 
@@ -223,24 +199,13 @@ def run_fig13(
             "paper geomeans: NVLink +56%, PCIe +75%",
         ],
     )
-    config = (base_config or GPUConfig()).time_scaled(time_scale)
     if workloads is None:
         workloads = QUICK_HALLOC if quick else HALLOC_NAMES
     for name in workloads:
-        wl = get_workload(name)
-        row = []
-        for ic_name in interconnects:
-            ic = INTERCONNECTS[ic_name].scaled(time_scale)
-            base = _run(
-                wl, make_scheme("replay-queue"), paging="demand-heap",
-                config=config, interconnect=ic,
-            ).cycles
-            local = _run(
-                wl, make_scheme("replay-queue"), paging="demand-heap",
-                config=config, interconnect=ic, local_handling=True,
-            ).cycles
-            row.append(base / local)
-        table.add_row(name, row)
+        table.add_row(name, [
+            _local_speedup(name, "demand-heap", ic, time_scale, base_config)
+            for ic in interconnects
+        ])
     return table
 
 
@@ -268,26 +233,23 @@ def run_fig14(
             "paper geomeans: NVLink +5%, PCIe +8%; lbm and histo largest",
         ],
     )
-    config = (base_config or GPUConfig()).time_scaled(time_scale)
+    # Full demand paging on both sides: input migrations keep the CPU/link
+    # busy, which is exactly the contention that handling the
+    # (first-touch) output faults on the GPU avoids.
     for name in _parboil_names(quick, workloads):
-        wl = get_workload(name)
-        row = []
-        for ic_name in interconnects:
-            ic = INTERCONNECTS[ic_name].scaled(time_scale)
-            # Full demand paging on both sides: input migrations keep the
-            # CPU/link busy, which is exactly the contention that handling
-            # the (first-touch) output faults on the GPU avoids.
-            base = _run(
-                wl, make_scheme("replay-queue"), paging="demand",
-                config=config, interconnect=ic,
-            ).cycles
-            local = _run(
-                wl, make_scheme("replay-queue"), paging="demand",
-                config=config, interconnect=ic, local_handling=True,
-            ).cycles
-            row.append(base / local)
-        table.add_row(name, row)
+        table.add_row(name, [
+            _local_speedup(name, "demand", ic, time_scale, base_config)
+            for ic in interconnects
+        ])
     return table
+
+
+def _local_speedup(name, paging, interconnect, time_scale, config) -> float:
+    """CPU-handled over GPU-local cycles of one use-case-2 cell."""
+    kwargs = dict(paging=paging, time_scale=time_scale,
+                  interconnect=interconnect, config=config)
+    base = _cycles(name, "replay-queue", **kwargs)
+    return base / _cycles(name, "replay-queue", local_handling=True, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +268,10 @@ def run_scalability(
         description=f"{workload}: scheme performance vs number of SMs",
         columns=list(schemes),
     )
-    wl = get_workload(workload)
     for num_sms in sm_counts:
         config = GPUConfig().with_(num_sms=num_sms)
-        base = _run(wl, make_scheme("baseline"), config=config).cycles
-        row = [
-            base / _run(wl, make_scheme(s), config=config).cycles
-            for s in schemes
-        ]
+        base = _cycles(workload, "baseline", config=config)
+        row = [base / _cycles(workload, s, config=config) for s in schemes]
         table.add_row(f"{num_sms} SMs", row)
     return table
 

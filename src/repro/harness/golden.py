@@ -25,9 +25,9 @@ perf PR pass) with::
 
     PYTHONPATH=src python -m repro.harness golden --update
 
-Unlike :func:`repro.harness.chaos_campaign.architectural_digest` (which
-tolerates timing perturbation by design), this digest is exact: two runs
-match iff they are bit-identical.
+Unlike :func:`repro.system.architectural_digest` (which tolerates timing
+perturbation by design), this digest is exact: two runs match iff they
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro.core import make_scheme
-from repro.system import GPUConfig, GpuSimulator
-from repro.workloads import MICRO_NAMES, get_workload
-
-#: time scale matching the paper sweep (see repro.harness.experiments)
-GOLDEN_TIME_SCALE = 8.0
+from repro.system import DEFAULT_TIME_SCALE, GPUConfig, GpuSimulator
+from repro.workloads import MICRO_NAMES
 
 
 def state_digest(sim: GpuSimulator, result) -> Dict:
@@ -80,18 +77,24 @@ def state_digest(sim: GpuSimulator, result) -> Dict:
 def make_simulator(case: Dict, **kwargs) -> GpuSimulator:
     """Build the simulator for one golden case spec; ``kwargs`` (e.g.
     ``telemetry``, ``reference_issue``) go to :class:`GpuSimulator`."""
-    wl = get_workload(case["workload"])
-    cfg = GPUConfig().time_scaled(case.get("time_scale", GOLDEN_TIME_SCALE))
-    return GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        config=cfg,
-        scheme=make_scheme(case["scheme"], **case.get("scheme_kwargs", {})),
+    kwargs.update(
         paging=case.get("paging", "demand"),
         local_handling=case.get("local_handling", False),
         block_switching=case.get("block_switching", False),
-        **kwargs,
+    )
+    scheme = make_scheme(case["scheme"], **case.get("scheme_kwargs", {}))
+    if "interconnect" in case:
+        return GpuSimulator.for_workload(
+            case["workload"], scheme, time_scale=DEFAULT_TIME_SCALE,
+            interconnect=case["interconnect"], **kwargs,
+        )
+    # A case without an interconnect scales only the GPU's handler
+    # constants and runs the unscaled NVLink, as the fixture has pinned
+    # since before the experiments scaled both (DESIGN.md, "Time-scale
+    # substitution").
+    return GpuSimulator.for_workload(
+        case["workload"], scheme,
+        config=GPUConfig().time_scaled(DEFAULT_TIME_SCALE), **kwargs,
     )
 
 
@@ -106,6 +109,11 @@ def run_case(case: Dict, telemetry: bool = False) -> Dict:
     result = sim.run()
     return state_digest(sim, result)
 
+
+# The cases of _micro_matrix, _preemption_matrix and _slow_matrix carry no
+# interconnect: make_simulator runs them with the GPU's handler constants
+# time scaled and the NVLink costs unscaled, the configuration their
+# fixture entries pin.  _linked_matrix scales both, as the experiments do.
 
 def _micro_matrix() -> List[Dict]:
     """Fast cases: every micro workload x scheme x paging mode."""
@@ -132,8 +140,8 @@ def _slow_matrix() -> List[Dict]:
         cases.append(
             {"workload": wl, "scheme": "replay-queue", "paging": "demand"}
         )
-    # The Fig. 12 cells of the campaign benchmark: block switching under
-    # the replay-queue pipeline.
+    # Block switching under the replay-queue pipeline on the unscaled
+    # link; _linked_matrix has these cells as the experiments run them.
     for wl in ("histo", "lbm"):
         cases.append(
             {"workload": wl, "scheme": "replay-queue", "paging": "demand",
@@ -172,6 +180,33 @@ def _preemption_matrix() -> List[Dict]:
     return cases
 
 
+def _linked_matrix(full: bool) -> List[Dict]:
+    """Cases whose link is time scaled together with the GPU, as every
+    experiment runs: Figs. 12-14, serve requests, chaos cells and the
+    repository benchmark's ``campaign-demand`` cells."""
+    cases = [
+        {"workload": "saxpy", "scheme": "replay-queue", "paging": "demand",
+         "interconnect": "nvlink"},
+        {"workload": "tlb-thrash", "scheme": "replay-queue",
+         "paging": "demand", "local_handling": True,
+         "interconnect": "nvlink"},
+    ]
+    if full:
+        for wl, ic in (("histo", "nvlink"), ("lbm", "nvlink"),
+                       ("histo", "pcie")):
+            cases.append(
+                {"workload": wl, "scheme": "replay-queue", "paging": "demand",
+                 "block_switching": True, "interconnect": ic}
+            )
+        for wl in ("alloc-cycle", "quad-tree"):
+            cases.append(
+                {"workload": wl, "scheme": "replay-queue",
+                 "paging": "demand-heap", "local_handling": True,
+                 "interconnect": "nvlink"}
+            )
+    return cases
+
+
 def case_key(case: Dict) -> str:
     """Stable fixture key for one case spec."""
     parts = [case["workload"], case["scheme"], case.get("paging", "demand")]
@@ -183,6 +218,8 @@ def case_key(case: Dict) -> str:
         parts.append(
             ",".join(f"{k}={v}" for k, v in sorted(case["scheme_kwargs"].items()))
         )
+    if case.get("interconnect"):
+        parts.append(case["interconnect"])
     return "|".join(parts)
 
 
@@ -192,7 +229,7 @@ def golden_cases(full: bool = True) -> List[Dict]:
     cases = _micro_matrix() + _preemption_matrix()
     if full:
         cases += _slow_matrix()
-    return cases
+    return cases + _linked_matrix(full)
 
 
 def generate(full: bool = True, telemetry_probe: bool = True) -> Dict:
@@ -203,7 +240,9 @@ def generate(full: bool = True, telemetry_probe: bool = True) -> Dict:
     the "bit-identical with telemetry on or off" half of the contract at
     generation time.
     """
-    fixture: Dict = {"schema": 1, "time_scale": GOLDEN_TIME_SCALE, "cases": {}}
+    fixture: Dict = {
+        "schema": 1, "time_scale": DEFAULT_TIME_SCALE, "cases": {},
+    }
     for case in golden_cases(full):
         record = run_case(case)
         key = case_key(case)

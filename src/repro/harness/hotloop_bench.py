@@ -32,7 +32,6 @@ def run_case_e2e(case: Optional[Dict] = None) -> Dict:
     A fresh (uncached) workload instance is used so trace generation is
     actually measured; memoized decode/coalesce caches on a shared instance
     would otherwise leak work across repeats."""
-    from repro.core import make_scheme
     from repro.system import GpuSimulator
     from repro.workloads.parboil import PARBOIL
     from repro.workloads.micro import MICRO
@@ -40,16 +39,10 @@ def run_case_e2e(case: Optional[Dict] = None) -> Dict:
     case = case or CASE
     name = case["workload"]
     registry = PARBOIL if name in PARBOIL.names() else MICRO
-    wl = registry.fresh(name)
-    trace = wl.trace()
-    sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=trace,
-        address_space=wl.make_address_space(),
-        scheme=make_scheme(case["scheme"]),
+    result = GpuSimulator.for_workload(
+        registry.fresh(name), case["scheme"],
         paging=case.get("paging", "demand"),
-    )
-    result = sim.run()
+    ).run()
     return {
         "cycles": result.cycles,
         "dynamic_instructions": result.dynamic_instructions,

@@ -35,9 +35,9 @@ from dataclasses import asdict
 from typing import Dict, Optional, Sequence
 
 from repro.runtime import GpuDevice
+from repro.system import DEFAULT_TIME_SCALE
 from repro.workloads import STREAM_SCENARIO_NAMES, get_stream_scenario
 
-from .experiments import DEFAULT_TIME_SCALE
 from .results import ExperimentTable
 
 STREAM_COLUMNS = [

@@ -22,12 +22,11 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core import make_scheme
-from repro.system import GPUConfig, GpuSimulator, INTERCONNECTS, SimResult
+from repro.system import (
+    DEFAULT_TIME_SCALE, GPUConfig, GpuSimulator, SimResult,
+)
 from repro.telemetry import Telemetry
-from repro.workloads import get_workload
 
-from .experiments import DEFAULT_TIME_SCALE
 from .results import ExperimentTable
 
 
@@ -81,20 +80,15 @@ def run_traced(
     """Run ``workload`` under ``scheme`` with telemetry enabled and write
     the Chrome trace + counter dump into ``out_dir``; returns the
     :class:`TracedRun` (telemetry object included, for programmatic use)."""
-    wl = get_workload(workload)
-    cfg = (config or GPUConfig()).time_scaled(time_scale)
-    ic = INTERCONNECTS[interconnect].scaled(time_scale)
-    scheme_obj = make_scheme(scheme)
     tel = Telemetry(capacity=capacity, sample_interval=sample_interval)
     tel.annotate(workload=workload, interconnect=interconnect,
                  time_scale=time_scale)
-    sim = GpuSimulator(
-        kernel=wl.kernel,
-        trace=wl.trace(),
-        address_space=wl.make_address_space(),
-        config=cfg,
-        scheme=scheme_obj,
-        interconnect=ic,
+    sim = GpuSimulator.for_workload(
+        workload,
+        scheme,
+        time_scale=time_scale,
+        interconnect=interconnect,
+        config=config,
         paging=paging,
         local_handling=local_handling,
         block_switching=block_switching,
@@ -103,11 +97,11 @@ def run_traced(
     )
     result = sim.run()
     os.makedirs(out_dir, exist_ok=True)
-    stem = os.path.join(out_dir, f"{workload}-{scheme_obj.name}")
+    stem = os.path.join(out_dir, f"{workload}-{sim.scheme.name}")
     paths = tel.write(stem)
     return TracedRun(
         workload=workload,
-        scheme=scheme_obj.name,
+        scheme=sim.scheme.name,
         result=result,
         telemetry=tel,
         paths=paths,

@@ -18,13 +18,9 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.harness.results import ExperimentTable
+from repro.system import DEFAULT_TIME_SCALE
 
-from .scenarios import (
-    MC_CYCLE_BUDGET,
-    MC_TIME_SCALE,
-    get_mc_scenario,
-    run_mc_scenario,
-)
+from .scenarios import MC_CYCLE_BUDGET, get_mc_scenario, run_mc_scenario
 
 
 def run_mc_cell(
@@ -34,7 +30,7 @@ def run_mc_cell(
     max_branch: int = 3,
     scheme: str = "replay-queue",
     policy: str = "partition",
-    time_scale: float = MC_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     cycle_budget: float = MC_CYCLE_BUDGET,
 ) -> ExperimentTable:
     """Explore one scenario within budget; returns its result table.
@@ -94,7 +90,7 @@ def build_mc_cells(
     max_branch: int = 3,
     scheme: str = "replay-queue",
     policy: str = "partition",
-    time_scale: float = MC_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     cycle_budget: float = MC_CYCLE_BUDGET,
 ) -> List["CampaignCell"]:
     """The mc campaign spec: one cell per scenario, all merging into the

@@ -52,13 +52,12 @@ from repro.chaos import (
     Watchdog,
 )
 from repro.runtime import DevicePointer, GpuDevice
-from repro.system import DeadlockError
+from repro.system import (
+    DEFAULT_TIME_SCALE, DeadlockError, architectural_digest,
+)
 
 from .explorer import CLEAN, Execution, Explorer, ExplorationReport
 from .schedule import ScheduleControl
-
-#: time scale of every scenario (matches the harness experiments)
-MC_TIME_SCALE = 8.0
 
 #: watchdog budget per execution, in cycles (scenarios are small; a
 #: whole budget without progress means a schedule choice wedged the run)
@@ -201,26 +200,12 @@ def _functional_digest(device: GpuDevice, specs) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _arch_digest(device: GpuDevice, result) -> str:
-    """sha256 over the architectural end state: GPU-mapped pages, blocks
-    retired, instructions committed.  Frame assignment is deliberately
-    excluded (schedules legitimately reorder which frame a page gets),
-    exactly as the chaos campaign's digest does."""
-    payload = [
-        sorted(device.aspace.page_state.gpu_table.mapped_vpns()),
-        sum(s.blocks_completed for s in result.sm_stats),
-        sum(s.committed for s in result.sm_stats),
-    ]
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
 def execute_trace(
     scenario: McScenario,
     trace: Tuple[int, ...] = (),
     scheme: str = "replay-queue",
     policy: str = "partition",
-    time_scale: float = MC_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     cycle_budget: float = MC_CYCLE_BUDGET,
 ) -> Execution:
     """Run one scenario execution under a forced choice trace.
@@ -267,7 +252,11 @@ def execute_trace(
     )
     if result is not None:
         execution.functional_digest = _functional_digest(device, specs)
-        execution.arch_digest = _arch_digest(device, result)
+        state = architectural_digest(device.aspace.page_state,
+                                     result.sm_stats)
+        execution.arch_digest = hashlib.sha256(
+            json.dumps(state, sort_keys=True).encode()
+        ).hexdigest()
         execution.observables = {
             "makespan": result.cycles,
             "stolen_blocks": float(result.stolen_blocks),
@@ -286,7 +275,7 @@ def run_mc_scenario(
     max_branch: int = 3,
     scheme: str = "replay-queue",
     policy: str = "partition",
-    time_scale: float = MC_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     cycle_budget: float = MC_CYCLE_BUDGET,
     counters=None,
 ) -> ExplorationReport:
@@ -315,7 +304,7 @@ def replay_trace(
     trace: Tuple[int, ...],
     scheme: str = "replay-queue",
     policy: str = "partition",
-    time_scale: float = MC_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     cycle_budget: float = MC_CYCLE_BUDGET,
 ) -> Execution:
     """Replay one recorded choice trace of a scenario (the

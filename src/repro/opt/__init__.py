@@ -1,23 +1,14 @@
-"""Compiler layer: CFG, liveness, and transformation passes over kernels."""
+"""Compiler layer: CFG, liveness, and the WAR-eliminating renaming pass."""
 
 from .cfg import BasicBlock, Cfg
 from .liveness import Liveness, uses_defs
-from .passes import (
-    constant_folding,
-    count_memory_war_hazards,
-    dead_code_elimination,
-    optimize,
-    rename_war_registers,
-)
+from .passes import count_memory_war_hazards, rename_war_registers
 
 __all__ = [
     "BasicBlock",
     "Cfg",
     "Liveness",
     "uses_defs",
-    "constant_folding",
     "count_memory_war_hazards",
-    "dead_code_elimination",
-    "optimize",
     "rename_war_registers",
 ]

@@ -1,9 +1,8 @@
 """Backward liveness analysis over the kernel CFG.
 
 Computes, per basic block, the sets of general-purpose registers live on
-entry/exit, and per-pc "live-after" sets within blocks.  Predicate
-registers are tracked in the same universe with an offset so a single
-dataflow handles both files.
+entry/exit.  Predicate registers are tracked in the same universe with an
+offset so a single dataflow handles both files.
 """
 
 from __future__ import annotations
@@ -70,25 +69,3 @@ class Liveness:
                     self.live_in[block.index] = new_in
                     changed = True
 
-    def live_after(self, pc: int) -> Set[int]:
-        """Registers live immediately after the instruction at ``pc``."""
-        block = self.cfg.block_of(pc)
-        live = set(self.live_out[block.index])
-        for p in range(block.end - 1, pc, -1):
-            uses, defs = uses_defs(self.cfg.instruction(p))
-            live -= defs
-            live |= uses
-        return live
-
-    def dead_defs(self) -> List[int]:
-        """pcs whose definitions are never used (candidates for DCE)."""
-        out = []
-        for block in self.cfg.blocks:
-            for pc in block.pcs():
-                inst = self.cfg.instruction(pc)
-                if inst.info.is_memory or inst.info.is_control:
-                    continue  # side effects / control: never dead
-                _, defs = uses_defs(inst)
-                if defs and not (defs & self.live_after(pc)):
-                    out.append(pc)
-        return out

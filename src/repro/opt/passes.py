@@ -1,7 +1,4 @@
-"""Kernel transformation passes.
-
-Three classic passes over the mini-ISA, mirroring what the paper's LLVM
-backend would do — plus one pass specific to this paper's trade space:
+"""Kernel transformation passes for this paper's trade space.
 
 ``rename_war_registers``
     Eliminates WAR hazards on the *address registers of global-memory
@@ -16,12 +13,12 @@ backend would do — plus one pass specific to this paper's trade space:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.isa import Imm, Instruction, Kernel, Opcode, Pred, Reg
+from repro.isa import Instruction, Kernel, Reg
 
 from .cfg import Cfg
-from .liveness import Liveness, uses_defs
+from .liveness import Liveness
 
 
 def _clone_kernel(kernel: Kernel) -> Kernel:
@@ -31,102 +28,6 @@ def _clone_kernel(kernel: Kernel) -> Kernel:
         regs_per_thread=kernel.regs_per_thread,
         smem_bytes_per_block=kernel.smem_bytes_per_block,
     )
-
-
-# ---------------------------------------------------------------------------
-# dead code elimination
-# ---------------------------------------------------------------------------
-
-def dead_code_elimination(kernel: Kernel) -> Tuple[Kernel, int]:
-    """Remove side-effect-free instructions whose results are never used.
-
-    Returns ``(new_kernel, removed_count)``.  Branch targets are remapped.
-    Iterates to a fixed point (removing one dead def can kill another).
-    """
-    current = _clone_kernel(kernel)
-    removed_total = 0
-    while True:
-        cfg = Cfg(current)
-        dead = set(Liveness(cfg).dead_defs())
-        if not dead:
-            break
-        removed_total += len(dead)
-        current = _remove_pcs(current, dead)
-    current.validate()
-    return current, removed_total
-
-
-def _remove_pcs(kernel: Kernel, dead: Set[int]) -> Kernel:
-    n = len(kernel.instructions)
-    new_pc_of = {}
-    new_pc = 0
-    for pc in range(n):
-        new_pc_of[pc] = new_pc
-        if pc not in dead:
-            new_pc += 1
-    end_pc = new_pc  # mapping for targets one past the end
-
-    def remap(pc: Optional[int]) -> Optional[int]:
-        if pc is None:
-            return None
-        return new_pc_of.get(pc, end_pc)
-
-    insts = []
-    for pc, inst in enumerate(kernel.instructions):
-        if pc in dead:
-            continue
-        inst = dataclasses.replace(
-            inst, target=remap(inst.target), reconv=remap(inst.reconv)
-        )
-        insts.append(inst)
-    return Kernel(
-        name=kernel.name,
-        instructions=insts,
-        regs_per_thread=kernel.regs_per_thread,
-        smem_bytes_per_block=kernel.smem_bytes_per_block,
-    )
-
-
-# ---------------------------------------------------------------------------
-# constant folding
-# ---------------------------------------------------------------------------
-
-_FOLDABLE = {
-    Opcode.IADD: lambda a, b: a + b,
-    Opcode.ISUB: lambda a, b: a - b,
-    Opcode.IMUL: lambda a, b: a * b,
-    Opcode.IMIN: min,
-    Opcode.IMAX: max,
-    Opcode.SHL: lambda a, b: int(a) << int(b),
-    Opcode.SHR: lambda a, b: int(a) >> int(b),
-    Opcode.AND: lambda a, b: int(a) & int(b),
-    Opcode.OR: lambda a, b: int(a) | int(b),
-    Opcode.XOR: lambda a, b: int(a) ^ int(b),
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-    Opcode.FMIN: min,
-    Opcode.FMAX: max,
-}
-
-
-def constant_folding(kernel: Kernel) -> Tuple[Kernel, int]:
-    """Fold binary ALU operations whose sources are all immediates into a
-    ``MOV Imm``.  Returns ``(new_kernel, folded_count)``."""
-    current = _clone_kernel(kernel)
-    folded = 0
-    for pc, inst in enumerate(current.instructions):
-        fold = _FOLDABLE.get(inst.op)
-        if fold is None or inst.guard is not None:
-            continue
-        if len(inst.srcs) == 2 and all(isinstance(s, Imm) for s in inst.srcs):
-            value = fold(inst.srcs[0].value, inst.srcs[1].value)
-            current.instructions[pc] = dataclasses.replace(
-                inst, op=Opcode.MOV, srcs=(Imm(value),)
-            )
-            folded += 1
-    current.validate()
-    return current, folded
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +144,3 @@ def _replace_srcs(inst: Instruction, old: int, new: int) -> Instruction:
     )
     return dataclasses.replace(inst, srcs=srcs)
 
-
-def optimize(kernel: Kernel, rename_extra_regs: int = 16) -> Kernel:
-    """The default pipeline: fold -> DCE -> WAR renaming."""
-    kernel, _ = constant_folding(kernel)
-    kernel, _ = dead_code_elimination(kernel)
-    kernel, _ = rename_war_registers(kernel, extra_regs=rename_extra_regs)
-    return kernel

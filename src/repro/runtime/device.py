@@ -39,14 +39,14 @@ from repro.isa import Kernel
 from repro.system import (
     GPUConfig,
     GpuSimulator,
-    INTERCONNECTS,
+    InterconnectConfig,
     MultiKernelResult,
     MultiKernelSimulator,
     SimResult,
     StreamKernelResult,
     StreamLaunch,
+    time_scaled_system,
 )
-from repro.system.config import InterconnectConfig
 from repro.vm import (
     AddressSpace,
     DeviceHeap,
@@ -191,7 +191,7 @@ class GpuDevice:
         block_switching: bool = False,
         heap_bytes: int = 0,
         heap_arenas: int = 256,
-        time_scale: float = 1.0,
+        time_scale: Optional[float] = None,
         chaos=None,
     ) -> None:
         # A device-level engine drives the runtime.* hooks (allocation
@@ -202,13 +202,12 @@ class GpuDevice:
         from repro.chaos import chaos_active
 
         self.chaos = chaos_active(chaos)
-        self.config = (config or GPUConfig()).time_scaled(time_scale)
         self.scheme = (
             make_scheme(scheme) if isinstance(scheme, str) else scheme
         )
-        if isinstance(interconnect, str):
-            interconnect = INTERCONNECTS[interconnect]
-        self.interconnect = interconnect.scaled(time_scale)
+        self.config, self.interconnect = time_scaled_system(
+            config, interconnect, time_scale
+        )
         self.local_handling = local_handling
         self.block_switching = block_switching
         if (block_switching or local_handling) and not self.scheme.preemptible:

@@ -32,8 +32,8 @@ fails without running the functional interpreter.
 
 The result dict carries timing, the per-kernel fault tally that feeds
 the tenant's fault budget, and a state digest
-(:func:`repro.harness.chaos_campaign.architectural_digest` content-
-hashed) so cache hits are checkable against cold runs bit-for-bit.
+(:func:`repro.system.architectural_digest` content-hashed) so cache
+hits are checkable against cold runs bit-for-bit.
 
 A workload's dynamic trace depends only on its name, so the isolated
 service's forked children run :func:`execute_handoff`, which hands the
@@ -49,11 +49,11 @@ from typing import Dict, Optional, Tuple
 from repro.chaos import (
     ChaosConfig, ChaosEngine, HangDiagnostic, SimulationHang, Watchdog,
 )
-from repro.core import make_scheme
 from repro.functional.serialize import load_trace, save_trace
-from repro.harness.experiments import DEFAULT_TIME_SCALE
 from repro.harness.hashing import content_hash
-from repro.system import GPUConfig, GpuSimulator, INTERCONNECTS, PAGING_MODES
+from repro.system import (
+    DEFAULT_TIME_SCALE, GpuSimulator, architectural_digest,
+)
 from repro.workloads import get_workload
 
 #: spec keys the executor understands (anything else is rejected so a
@@ -98,19 +98,8 @@ def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
     if spec.get("hang"):
         raise _synthetic_hang(spec)
 
-    time_scale = float(spec.get("time_scale", DEFAULT_TIME_SCALE))
     seed = int(spec.get("seed", 0))
     intensity = float(spec.get("chaos_intensity", 0.0))
-    wl = get_workload(spec["workload"])
-    scheme = make_scheme(spec.get("scheme", "replay-queue"))
-    paging = spec.get("paging", "demand")
-    if paging not in PAGING_MODES:
-        raise ValueError(
-            f"unknown paging mode {paging!r}; choose from "
-            f"{list(PAGING_MODES)}"
-        )
-    cfg = GPUConfig().time_scaled(time_scale)
-    ic = INTERCONNECTS[spec.get("interconnect", "nvlink")].scaled(time_scale)
     chaos = (
         ChaosEngine(ChaosConfig(seed=seed).scaled(intensity))
         if intensity > 0
@@ -118,27 +107,24 @@ def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
     )
     budget = spec.get("cycle_budget")
     watchdog = Watchdog(budget) if budget is not None else Watchdog()
-    if trace_text is None:
-        kernel, trace = wl.kernel, wl.trace()
-    else:
-        kernel, trace = load_trace(io.StringIO(trace_text))
-    sim = GpuSimulator(
-        kernel=kernel,
+    trace = None
+    if trace_text is not None:
+        def trace():
+            return load_trace(io.StringIO(trace_text))[1]
+    sim = GpuSimulator.for_workload(
+        spec["workload"],
+        spec.get("scheme", "replay-queue"),
+        time_scale=float(spec.get("time_scale", DEFAULT_TIME_SCALE)),
+        interconnect=spec.get("interconnect", "nvlink"),
         trace=trace,
-        address_space=wl.make_address_space(),
-        config=cfg,
-        scheme=scheme,
-        interconnect=ic,
-        paging=paging,
+        paging=spec.get("paging", "demand"),
         chaos=chaos,
         watchdog=watchdog,
         sanitize=chaos is not None,
     )
     result = sim.run()
-
-    from repro.harness.chaos_campaign import architectural_digest
-
-    digest = architectural_digest(sim)
+    state = architectural_digest(sim.address_space.page_state,
+                                 result.sm_stats)
     return {
         "workload": spec["workload"],
         "scheme": spec.get("scheme", "replay-queue"),
@@ -149,9 +135,7 @@ def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
             result.fault_stats.faults_raised if result.fault_stats else 0
         ),
         "injections": chaos.total_injections if chaos is not None else 0,
-        "state_digest": content_hash(
-            [sorted(digest[0]), digest[1], digest[2]]
-        ),
+        "state_digest": content_hash(state),
     }
 
 

@@ -49,17 +49,15 @@ from repro.chaos import SimulationHang
 from repro.chaos.watchdog import DEFAULT_CYCLE_BUDGET
 from repro.harness.hashing import content_hash
 from repro.harness.isolation import RetryPolicy
+from repro.system import DEFAULT_TIME_SCALE
 
 from .cache import PartitionedResultCache
 from .core import ServeRejection, ServiceCore, TenantPolicy
 from .executor import execute_request
 
-#: time scale the serving benchmarks run the micro workloads at
-SERVE_TIME_SCALE = 8.0
-
 #: watchdog budget on the storm tenant's chaos specs — sized so a hung
 #: attempt burns about as many GPU-cycles as a clean thrash kernel at
-#: SERVE_TIME_SCALE; a misbehaving tenant is then contained by its
+#: DEFAULT_TIME_SCALE; a misbehaving tenant is then contained by its
 #: breaker, not by accidentally costing less than honest work
 DEFAULT_STORM_CYCLE_BUDGET = 12_000.0
 
@@ -490,7 +488,7 @@ class VirtualTimeDriver:
 # ---------------------------------------------------------------------------
 
 def steady_menu(
-    time_scale: float = SERVE_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     seed_pool: int = 16,
     base_seed: int = 0,
 ) -> List[Dict]:
@@ -521,7 +519,7 @@ def steady_menu(
 
 def storm_menu(
     chaotic: bool,
-    time_scale: float = SERVE_TIME_SCALE,
+    time_scale: float = DEFAULT_TIME_SCALE,
     cycle_budget: float = DEFAULT_STORM_CYCLE_BUDGET,
     slots: int = 18,
     hang_every: int = 3,

@@ -2,12 +2,14 @@
 
 from .config import (
     DEFAULT_CONFIG,
+    DEFAULT_TIME_SCALE,
     INTERCONNECTS,
     NVLINK,
     PCIE,
     US,
     GPUConfig,
     InterconnectConfig,
+    time_scaled_system,
 )
 from .faults import FaultController, FaultOutcome, FaultStats, InvalidAccessError
 from .gpu import (
@@ -19,11 +21,13 @@ from .gpu import (
     SimResult,
     StreamKernelResult,
     StreamLaunch,
+    architectural_digest,
 )
 from .tb_scheduler import MultiKernelScheduler
 
 __all__ = [
     "DEFAULT_CONFIG",
+    "DEFAULT_TIME_SCALE",
     "INTERCONNECTS",
     "NVLINK",
     "PAGING_MODES",
@@ -31,6 +35,7 @@ __all__ = [
     "US",
     "GPUConfig",
     "InterconnectConfig",
+    "time_scaled_system",
     "FaultController",
     "FaultOutcome",
     "FaultStats",
@@ -43,4 +48,5 @@ __all__ = [
     "SimResult",
     "StreamKernelResult",
     "StreamLaunch",
+    "architectural_digest",
 ]

@@ -7,8 +7,8 @@ round-trip costs, handler latencies) to cycles directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple, Union
 
 #: cycles per microsecond at the 1 GHz SM clock of Table 1
 US = 1000.0
@@ -58,7 +58,8 @@ class InterconnectConfig:
         constants by the same factor preserves the dimensionless ratios the
         results depend on (fault-handling time vs. kernel time, queue
         depths, link occupancy).  The substitution is recorded per
-        experiment in EXPERIMENTS.md.
+        experiment in EXPERIMENTS.md; :func:`time_scaled_system` applies
+        it to the GPU and the link together.
         """
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
@@ -169,7 +170,7 @@ class GPUConfig:
 
     def time_scaled(self, time_scale: float) -> "GPUConfig":
         """Scale the microsecond-range handler constants (see
-        :meth:`InterconnectConfig.scaled`)."""
+        :meth:`InterconnectConfig.scaled` and :func:`time_scaled_system`)."""
         return replace(
             self,
             gpu_handler_latency=self.gpu_handler_latency / time_scale,
@@ -239,3 +240,30 @@ class GPUConfig:
 
 
 DEFAULT_CONFIG = GPUConfig()
+
+#: the divisor every experiment applies to the paper's microsecond
+#: constants: Figs. 12-14, serve requests, chaos campaigns, model-checking
+#: scenarios and the golden cases (see :meth:`InterconnectConfig.scaled`)
+DEFAULT_TIME_SCALE = 8.0
+
+
+def time_scaled_system(
+    config: Optional[GPUConfig] = None,
+    interconnect: Union[str, InterconnectConfig] = "nvlink",
+    time_scale: Optional[float] = None,
+) -> Tuple[GPUConfig, InterconnectConfig]:
+    """The GPU config and the link one run uses.
+
+    ``interconnect`` is a name from :data:`INTERCONNECTS` or a config.  A
+    ``time_scale`` divides the GPU's handler constants and the link's
+    costs together: scaling one without the other leaves the fault costs
+    out of the paper's ratios.  ``None`` returns both as given; it never
+    means "scale by 1", which would reset ``config.time_scale``, the
+    divisor of the block-switch cost.
+    """
+    config = config if config is not None else GPUConfig()
+    if isinstance(interconnect, str):
+        interconnect = INTERCONNECTS[interconnect]
+    if time_scale is None:
+        return config, interconnect
+    return config.time_scaled(time_scale), interconnect.scaled(time_scale)

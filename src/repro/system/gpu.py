@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.core.schemes import BaselineStallOnFault, PipelineScheme
+from repro.core.schemes import (
+    BaselineStallOnFault, PipelineScheme, make_scheme,
+)
 from repro.functional.trace import BlockTrace, KernelTrace
 from repro.isa import Kernel
 from repro.mem import MemorySubsystem
@@ -36,7 +38,7 @@ from repro.timing.engine import EventQueue
 from repro.timing.sm import SmPipeline
 from repro.vm import AddressSpace, FrameAllocator
 
-from .config import GPUConfig, InterconnectConfig, NVLINK
+from .config import GPUConfig, InterconnectConfig, NVLINK, time_scaled_system
 from .faults import FaultController, FaultStats
 from .tb_scheduler import MultiKernelScheduler
 
@@ -626,6 +628,55 @@ class GpuSimulator(MultiKernelSimulator):
             reference_issue=reference_issue, schedule=schedule,
         )
 
+    @classmethod
+    def for_workload(
+        cls,
+        workload,
+        scheme: Union[str, PipelineScheme, None] = None,
+        *,
+        time_scale: Optional[float] = None,
+        interconnect: Union[str, InterconnectConfig] = "nvlink",
+        config: Optional[GPUConfig] = None,
+        trace: Union[KernelTrace, Callable[[], KernelTrace], None] = None,
+        paging: str = "premapped",
+        **kwargs,
+    ) -> "GpuSimulator":
+        """The simulator of one run of ``workload`` (a registered name or a
+        :class:`~repro.workloads.Workload`), on its kernel and a fresh
+        address space.
+
+        ``scheme`` and ``interconnect`` are names or objects.  Every name
+        is resolved, and ``paging`` checked, before any trace work, so a
+        malformed request fails without running the interpreter.
+        ``time_scale`` goes to the GPU config and the link together
+        (:func:`~repro.system.config.time_scaled_system`); ``None`` runs
+        ``config`` and the link as given.  ``trace`` replaces the
+        workload's own trace; a callable is called only once the names
+        resolve (a decoder, say).  The other keyword arguments go to the
+        constructor.
+        """
+        from repro.workloads import Workload, get_workload
+
+        wl = (workload if isinstance(workload, Workload)
+              else get_workload(workload))
+        if isinstance(scheme, str):
+            scheme = make_scheme(scheme)
+        if paging not in PAGING_MODES:
+            raise ValueError(
+                f"unknown paging mode {paging!r}; choose from "
+                f"{list(PAGING_MODES)}"
+            )
+        config, interconnect = time_scaled_system(
+            config, interconnect, time_scale
+        )
+        if trace is None:
+            trace = wl.trace()
+        elif callable(trace):
+            trace = trace()
+        return cls(wl.kernel, trace, wl.make_address_space(), config=config,
+                   scheme=scheme, interconnect=interconnect, paging=paging,
+                   **kwargs)
+
     def run(self, max_cycles: float = 2e9) -> SimResult:
         """Run the launch to completion; returns the results."""
         res = super().run(max_cycles)
@@ -641,3 +692,22 @@ class GpuSimulator(MultiKernelSimulator):
             sm_stats=res.sm_stats,
             telemetry=res.telemetry,
         )
+
+
+def architectural_digest(
+    page_state, sm_stats
+) -> Tuple[Tuple[int, ...], int, int]:
+    """The architecturally visible outcome of a finished run: which
+    virtual pages ended GPU-mapped (sorted), how many blocks retired and
+    how many instructions committed, from the run's
+    :class:`~repro.vm.SystemPageState` and per-SM statistics.
+
+    It leaves out the vpn->ppn assignment: chaos injection and explored
+    schedules legitimately reorder fault resolution, and with it which
+    physical frame each page lands in.
+    """
+    return (
+        tuple(page_state.gpu_table.mapped_vpns()),
+        sum(s.blocks_completed for s in sm_stats),
+        sum(s.committed for s in sm_stats),
+    )

@@ -20,7 +20,7 @@ Usage::
 
     from repro.telemetry import Telemetry
     tel = Telemetry()
-    sim = GpuSimulator(..., telemetry=tel)
+    sim = GpuSimulator.for_workload("saxpy", "replay-queue", telemetry=tel)
     sim.run()
     tel.write("traces/run")        # run.trace.json + run.counters.json
 """

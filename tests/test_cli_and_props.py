@@ -1,4 +1,4 @@
-"""Final coverage round: the harness CLI, optimization-pass properties,
+"""Final coverage round: the harness CLI, renaming-pass properties,
 and runtime-facade edge cases."""
 
 import pytest
@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from repro.harness.__main__ import main as harness_main
 from repro.isa import Imm, KernelBuilder, Opcode, P, R
-from repro.opt import (
-    Cfg,
-    constant_folding,
-    count_memory_war_hazards,
-    dead_code_elimination,
-    rename_war_registers,
-)
+from repro.opt import Cfg, count_memory_war_hazards, rename_war_registers
 from repro.runtime import GpuDevice
 
 
@@ -68,23 +62,6 @@ def op_streams(draw):
 
 
 class TestPassProperties:
-    @given(op_streams())
-    @settings(max_examples=30)
-    def test_dce_idempotent_and_valid(self, ops):
-        kernel = _random_straightline(ops)
-        once, removed1 = dead_code_elimination(kernel)
-        twice, removed2 = dead_code_elimination(once)
-        assert removed2 == 0  # fixed point reached
-        once.validate()
-
-    @given(op_streams())
-    @settings(max_examples=30)
-    def test_folding_never_grows_kernel(self, ops):
-        kernel = _random_straightline(ops)
-        folded, count = constant_folding(kernel)
-        assert len(folded) == len(kernel)
-        assert count >= 0
-
     @given(op_streams())
     @settings(max_examples=30)
     def test_renaming_never_increases_hazards(self, ops):

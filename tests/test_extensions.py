@@ -113,12 +113,11 @@ class TestPreemptionLatency:
         switch latency includes the fault round trip (the Section 2.4
         claim)."""
         wl = MICRO.fresh("stream-sum")
-        config = GPUConfig().time_scaled(8.0)
         best_gap = 0.0
         for fraction in (0.05, 0.15, 0.3):
             result = preemption_latency_experiment(
-                wl, make_scheme("replay-queue"), NVLINK.scaled(8.0), config,
-                request_fraction=fraction,
+                wl, make_scheme("replay-queue"), request_fraction=fraction,
+                time_scale=8.0,
             )
             assert result["stall-on-fault"] >= result["preemptible"]
             best_gap = max(

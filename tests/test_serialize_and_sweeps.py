@@ -14,8 +14,7 @@ from repro.functional.serialize import (
     load_trace,
     save_trace,
 )
-from repro.harness.chaos_campaign import architectural_digest
-from repro.system import GpuSimulator
+from repro.system import GpuSimulator, architectural_digest
 from repro.workloads import MICRO, get_workload
 from tests.test_interpreter import global_memory_instructions, touched_pages
 
@@ -92,7 +91,8 @@ class TestTraceRoundtrip:
             )
             result = sim.run()
             return (result.cycles, result.fault_stats.faults_raised,
-                    architectural_digest(sim))
+                    architectural_digest(sim.address_space.page_state,
+                                         result.sm_stats))
 
         assert outcome(*_reloaded(name)) == outcome(wl.kernel, wl.trace())
 

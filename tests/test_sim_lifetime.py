@@ -10,7 +10,6 @@ test only, so whatever reference counting leaves behind stays visible.
 """
 
 import contextlib
-import functools
 import gc
 import tracemalloc
 from collections import Counter
@@ -18,7 +17,6 @@ from collections import Counter
 import pytest
 
 import repro.core.preemption as preemption
-import repro.system.gpu as gpu
 from repro.core import make_scheme
 from repro.core.preemption import (
     measure_preemption_latency,
@@ -163,14 +161,12 @@ class TestSelfFreeing:
 
         monkeypatch.setattr(preemption, "measure_preemption_latency",
                             measure)
-        monkeypatch.setattr(gpu, "GpuSimulator",
-                            functools.partial(GpuSimulator, **kwargs))
         wl = make_wl()
         wl.trace()
         with _no_cyclic_gc():
             preemption_latency_experiment(
-                wl, make_scheme("replay-queue"), _IC, _CFG,
-                request_fraction=0.5,
+                wl, make_scheme("replay-queue"), request_fraction=0.5,
+                interconnect=_IC, config=_CFG, **kwargs,
             )
             assert any(getattr(sm, held) for sm in stopped[0])
             del stopped[:]
