@@ -16,7 +16,7 @@ from conftest import show
 from repro.core import preemption_latency_experiment
 from repro.core.schemes import WarpDisableCommit
 from repro.harness.results import ExperimentTable
-from repro.opt import count_memory_war_hazards, rename_war_registers
+from repro.opt import rename_war_registers
 from repro.system import DEFAULT_TIME_SCALE, GpuSimulator
 from repro.workloads.parboil import Lbm
 

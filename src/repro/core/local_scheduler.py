@@ -55,7 +55,7 @@ class LocalScheduler:
         sm: SmPipeline,
         block: BlockRT,
         warp,
-        tinst,
+        rec: int,
         detect_time: float,
         resolved_time: float,
         position: int,

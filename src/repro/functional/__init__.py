@@ -8,7 +8,7 @@ from .interpreter import (
     TrapRaised,
     WarpState,
 )
-from .trace import BlockTrace, KernelTrace, TraceInst, WarpTrace
+from .trace import BlockTrace, KernelTrace, WarpTrace
 
 __all__ = [
     "WARP_SIZE",
@@ -19,6 +19,5 @@ __all__ = [
     "WarpState",
     "BlockTrace",
     "KernelTrace",
-    "TraceInst",
     "WarpTrace",
 ]

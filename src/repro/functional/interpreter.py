@@ -15,7 +15,6 @@ an entry whose pc reaches its reconvergence pc is popped.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 from repro.isa import Instruction, Kernel, Opcode, Param, Pred, Reg, Special, SReg
 from repro.vm import AddressSpace, DeviceHeap, SparseMemory
 
-from .trace import BlockTrace, KernelTrace, TraceInst, WarpTrace
+from .trace import BlockTrace, KernelTrace, WarpTrace
 
 WARP_SIZE = 32
 
@@ -205,16 +204,11 @@ class Interpreter:
         op = inst.op
         if self.collect_trace and op is not Opcode.NOP:
             wtrace.append(
-                TraceInst(
-                    pc=top.pc,
-                    inst=inst,
-                    active=(
-                        WARP_SIZE
-                        if exec_mask is _FULL_MASK
-                        else int(np.count_nonzero(exec_mask))
-                    ),
-                    addresses=addresses,
-                )
+                top.pc,
+                WARP_SIZE
+                if exec_mask is _FULL_MASK
+                else int(np.count_nonzero(exec_mask)),
+                addresses,
             )
 
         # Inlined _advance common case: plain fall-through instructions.
@@ -332,9 +326,10 @@ class Interpreter:
     ):
         """Apply ``inst``'s semantics for lanes in ``mask``.
 
-        Returns the byte addresses accessed, one per active lane, as an
-        int64 ``array`` (memory instructions with at least one active
-        lane) or ``None``.
+        Returns the byte addresses accessed, one per active lane, as the
+        bytes of an int64 vector (memory instructions with at least one
+        active lane) or ``None``: the trace appends them to its flat
+        address column without building an object per record.
 
         Dispatch runs on a per-static-instruction execution plan
         (:func:`_plan`: a small kind integer plus the resolved ufunc),
@@ -375,7 +370,7 @@ class Interpreter:
                     regs[:, inst.dest.index] = vals
                 else:
                     regs[mask, inst.dest.index] = vals
-                return array("q", addrs.tobytes())
+                return addrs.tobytes()
             return None
         if kind == _K_ST:
             mem = self.memory if inst.op is Opcode.ST_GLOBAL else shared
@@ -387,7 +382,7 @@ class Interpreter:
                     addrs, value if mask is _FULL_MASK else value[mask],
                     inst.width,
                 )
-                return array("q", addrs.tobytes())
+                return addrs.tobytes()
             return None
         if kind == _K_SFU:
             a = self._read(srcs[0], warp)
@@ -440,7 +435,7 @@ class Interpreter:
                     regs[:, inst.dest.index] = olds
                 else:
                     regs[mask, inst.dest.index] = olds
-            return array("q", addrs.tobytes())
+            return addrs.tobytes()
         if kind == _K_MALLOC:
             if self.heap is None:
                 raise FunctionalError("MALLOC executed but no device heap attached")

@@ -1,23 +1,45 @@
-"""Trace serialization: save/load dynamic kernel traces to disk.
+"""Trace serialization: save/load dynamic kernel traces as a binary
+container.
 
 Functional simulation is the expensive front end of the methodology; a
 saved trace can be replayed through the timing simulator (any scheme, any
-configuration) without re-executing the kernel.  The format is a compact
-JSON container: the static kernel instructions are encoded once and the
-per-warp dynamic streams reference them by pc.
+configuration) without re-executing the kernel.  The container holds the
+trace's columns (:mod:`repro.functional.trace`) as raw little-endian
+arrays behind a small JSON header, so a loader views them in place:
+
+``MAGIC``            8 bytes
+version              uint32, :data:`FORMAT_VERSION`
+header length        uint32
+header               JSON: the kernel (instructions encoded once), the
+                     grid and block dims, the address count, and per
+                     block its id and each warp's id and record count;
+                     space-padded to a multiple of 8 bytes
+offsets              int64 x (records + 1), into the address column
+addresses            int64 x addresses
+pcs                  int32 x records
+active lanes         uint8 x records
+
+The records of all warps sit end to end, in header order, so a warp is
+a ``(start, count)`` range of the trace-wide columns.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import sys
 from array import array
-from typing import IO, Dict, Union
+from typing import IO, Dict, Optional, Union
+
+import numpy as np
 
 from repro.isa import Imm, Instruction, Kernel, Opcode, Param, Pred, Reg, Special, SReg
 
-from .trace import BlockTrace, KernelTrace, TraceInst, WarpTrace
+from .trace import BlockTrace, KernelTrace, WarpTrace
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+MAGIC = b"REPROTRC"
+_PREAMBLE = struct.Struct("<8sII")
 
 
 # ---------------------------------------------------------------------------
@@ -117,83 +139,157 @@ def decode_kernel(data: Dict) -> Kernel:
     return kernel
 
 
+def _raw(column, lo: int, hi: int) -> memoryview:
+    """Items ``lo:hi`` of a trace column as its native bytes."""
+    return memoryview(column)[lo:hi].cast("B")
+
+
+def _little_endian_host() -> None:
+    """Columns are written and viewed in native order, which the format
+    fixes as little-endian."""
+    if sys.byteorder != "little":  # pragma: no cover - no such host here
+        raise ValueError("trace containers need a little-endian host")
+
+
 def save_trace(trace: KernelTrace, kernel: Kernel, fp: Union[str, IO]) -> None:
-    """Write ``trace`` (with its kernel) to a path or file object."""
-    doc = {
-        "version": FORMAT_VERSION,
+    """Write ``trace`` (with its kernel) to a path or binary file object."""
+    _little_endian_host()
+    blocks = []
+    offsets = bytearray(array("q", (0,)).tobytes())
+    addrs, pcs, active = bytearray(), bytearray(), bytearray()
+    n_addrs = 0
+    for block in trace.blocks:
+        warps = []
+        for warp in block.warps:
+            start, stop = warp.start, warp.start + warp.count
+            offs = np.frombuffer(warp.offsets, dtype=np.int64)
+            lo, hi = int(offs[start]), int(offs[stop])
+            offsets += (offs[start + 1:stop + 1] + (n_addrs - lo)).tobytes()
+            addrs += _raw(warp.addrs, lo, hi)
+            pcs += _raw(warp.pcs, start, stop)
+            active += _raw(warp.active, start, stop)
+            n_addrs += hi - lo
+            warps += (warp.warp_id, warp.count)
+        blocks.append([block.block_id, warps])
+    header = json.dumps({
         "kernel": encode_kernel(kernel),
         "grid_dim": trace.grid_dim,
         "block_dim": trace.block_dim,
-        "blocks": [
-            {
-                "id": block.block_id,
-                "warps": [
-                    {
-                        "id": warp.warp_id,
-                        "insts": [
-                            [t.pc, t.active,
-                             [] if t.addresses is None
-                             else t.addresses.tolist()]
-                            for t in warp.instructions
-                        ],
-                    }
-                    for warp in block.warps
-                ],
-            }
-            for block in trace.blocks
-        ],
-    }
-    # one json.dumps call runs the C encoder; json.dump's chunked
-    # encoder is pure Python and several times slower (same bytes)
-    text = json.dumps(doc)
+        "addresses": n_addrs,
+        "blocks": blocks,
+    }, separators=(",", ":")).encode()
+    header += b" " * (-(_PREAMBLE.size + len(header)) % 8)
+    data = bytearray(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header)))
+    data += header
+    data += offsets + addrs + pcs + active
     if isinstance(fp, str):
-        with open(fp, "w") as f:
-            f.write(text)
+        with open(fp, "wb") as f:
+            f.write(data)
     else:
-        fp.write(text)
+        fp.write(data)
 
 
-def load_trace(fp: Union[str, IO]):
-    """Load ``(kernel, trace)`` previously written by :func:`save_trace`.
+def load_trace(source: Union[str, bytes, bytearray, memoryview, IO],
+               kernel: Optional[Kernel] = None):
+    """Load ``(kernel, trace)`` from a container written by
+    :func:`save_trace`: a path, the container's bytes, or a binary file
+    object.
 
-    Raises :class:`ValueError` for a record whose pc is not an instruction
-    of the kernel or whose addresses are not int64 integers."""
-    if isinstance(fp, str):
-        with open(fp) as f:
-            doc = json.load(f)
-    else:
-        doc = json.load(fp)
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported trace format {doc.get('version')!r}")
-    kernel = decode_kernel(doc["kernel"])
-    trace = KernelTrace(
-        kernel_name=kernel.name,
-        grid_dim=doc["grid_dim"],
-        block_dim=doc["block_dim"],
-    )
-    # keyed by pc, so a pc outside the kernel fails the lookup instead of
-    # wrapping around the end of the list as a negative index would
-    program = dict(enumerate(kernel.instructions))
-    for bdoc in doc["blocks"]:
-        block = BlockTrace(block_id=bdoc["id"])
-        for wdoc in bdoc["warps"]:
-            try:
-                insts = [
-                    TraceInst(pc, program[pc], active,
-                              array("q", addrs) if addrs else None)
-                    for pc, active, addrs in wdoc["insts"]
-                ]
-            except KeyError as exc:
-                raise ValueError(
-                    f"block {bdoc['id']} warp {wdoc['id']}: pc {exc.args[0]!r}"
-                    f" is not an instruction of {kernel.name!r}"
-                ) from None
-            except (TypeError, OverflowError) as exc:
-                # array('q') takes only integers that fit in 64 bits
-                raise ValueError(
-                    f"block {bdoc['id']} warp {wdoc['id']}: malformed record"
-                    f" ({exc})"
-                ) from None
-            block.warps.append(WarpTrace(wdoc["id"], insts))
+    Without ``kernel`` the header's kernel is decoded.  With it, the
+    container must have been saved with that kernel (the header encodes
+    it exactly), and it is the kernel returned: a run on it replays
+    what was recorded, and no copy is decoded.
+
+    Every pc is checked against the kernel and every offset against the
+    address column; a malformed container raises :class:`ValueError`.
+    The trace's columns are then zero-copy views of the container's
+    bytes (a file is read once), so loading allocates nothing per
+    record."""
+    _little_endian_host()
+    if isinstance(source, str):
+        with open(source, "rb") as f:
+            source = f.read()
+    elif not isinstance(source, (bytes, bytearray, memoryview)):
+        source = source.read()
+    mv = memoryview(source).cast("B")
+    if len(mv) < _PREAMBLE.size:
+        raise ValueError(f"trace container truncated at {len(mv)} bytes")
+    magic, version, hlen = _PREAMBLE.unpack_from(mv)
+    if magic != MAGIC:
+        raise ValueError(f"not a trace container (magic {magic!r})")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported trace format {version!r}")
+    pos = _PREAMBLE.size + hlen
+    if pos % 8 or pos > len(mv):
+        raise ValueError(f"trace header length {hlen} does not fit")
+    try:
+        header = json.loads(bytes(mv[_PREAMBLE.size:pos]))
+        saved = header["kernel"]
+        if kernel is None:
+            kernel = decode_kernel(saved)
+        elif saved != encode_kernel(kernel):
+            raise ValueError(
+                f"the container was saved with another kernel than"
+                f" {kernel.name!r}"
+            )
+        n_addrs = header["addresses"]
+        blocks = header["blocks"]
+        n_recs = 0
+        for _, warps in blocks:
+            counts = warps[1::2]
+            if len(warps) % 2 or not all(
+                type(c) is int and c >= 0 for c in counts
+            ):
+                raise ValueError("each warp needs an id and a count >= 0")
+            n_recs += sum(counts)
+        if type(n_addrs) is not int or n_addrs < 0:
+            raise ValueError(f"address count {n_addrs!r}")
+        trace = KernelTrace(kernel_name=kernel.name,
+                            grid_dim=header["grid_dim"],
+                            block_dim=header["block_dim"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"malformed trace header: {exc}") from None
+    size = pos + 8 * (n_recs + 1) + 8 * n_addrs + 5 * n_recs
+    if size != len(mv):
+        raise ValueError(
+            f"trace container is {len(mv)} bytes; its header describes"
+            f" {size}"
+        )
+    columns = []
+    for typecode, items in (("q", n_recs + 1), ("q", n_addrs),
+                            ("i", n_recs), ("B", n_recs)):
+        end = pos + items * array(typecode).itemsize
+        columns.append(mv[pos:end].cast(typecode))
+        pos = end
+    offsets, addrs, pcs, active = columns
+    _check_columns(kernel, offsets, pcs, n_addrs)
+    start = 0
+    for block_id, warps in blocks:
+        block = BlockTrace(block_id)
+        for warp_id, count in zip(warps[::2], warps[1::2]):
+            block.warps.append(
+                WarpTrace(warp_id, pcs, active, offsets, addrs, start, count)
+            )
+            start += count
         trace.blocks.append(block)
     return kernel, trace
+
+
+def _check_columns(kernel: Kernel, offsets, pcs, n_addrs: int) -> None:
+    """Raise :class:`ValueError` unless every pc names an instruction of
+    ``kernel`` and the offsets rise from 0 to ``n_addrs``."""
+    if len(pcs):
+        col = np.frombuffer(pcs, dtype=np.int32)
+        low, high = int(col.min()), int(col.max())
+        if low < 0 or high >= len(kernel):
+            bad = low if low < 0 else high
+            raise ValueError(
+                f"pc {bad} is not an instruction of {kernel.name!r}"
+            )
+    offs = np.frombuffer(offsets, dtype=np.int64)
+    if offs[0] != 0 or offs[-1] != n_addrs:
+        raise ValueError(
+            f"offsets run from {offs[0]} to {offs[-1]}, not 0 to {n_addrs}"
+        )
+    if (offs[1:] < offs[:-1]).any():
+        raise ValueError("offsets decrease")

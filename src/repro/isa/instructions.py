@@ -1,8 +1,8 @@
 """Instruction and program representation.
 
 An :class:`Instruction` is a static (pre-execution) entity; the functional
-simulator produces dynamic :class:`~repro.functional.trace.TraceInst` records
-from it.  Instructions support guarding by a predicate register (``@P0`` /
+simulator's dynamic trace records (:mod:`repro.functional.trace`) name it
+by its pc.  Instructions support guarding by a predicate register (``@P0`` /
 ``@!P0`` style), the idiom GPU compilers use for short divergent regions.
 """
 

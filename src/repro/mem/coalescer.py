@@ -11,13 +11,15 @@ the *last* TLB check is the earliest safe point to re-enable a disabled warp
 Coalescing is a pure function of the (immutable) lane addresses, yet the
 timing simulator needs it at least twice per faulted instruction (translate +
 replay) and once per run for every dynamic memory record.  ``coalesce_inst``
-memoizes the lines on the trace record itself, as one int64 buffer, so
-repeated runs over the same trace — and the replay path — pay a cache hit
-instead of re-bucketing 32 addresses (see docs/PERFORMANCE.md).
+memoizes the lines in one compact store per warp trace, so repeated runs
+over the same trace — and the replay path — pay a cache hit instead of
+re-bucketing 32 addresses (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from array import array
 from typing import Optional, Sequence, Tuple
 
@@ -59,26 +61,55 @@ def line_page_shift(line_size: int) -> Optional[int]:
     return None
 
 
-def coalesce_inst(tinst, line_size: int = CACHE_LINE_SIZE) -> Sequence[int]:
-    """Memoizing :func:`coalesce` for a trace record (``tinst.addresses``).
+def coalesce_inst(
+    trace, rec: int, line_size: int = CACHE_LINE_SIZE
+) -> Sequence[int]:
+    """Memoizing :func:`coalesce` for record ``rec`` of a
+    :class:`~repro.functional.trace.WarpTrace`.
 
     Safe because trace addresses are immutable after generation.  The
-    record keeps ``array('q', [line_size, *lines])``: the key and the
-    lines in one buffer of 8 bytes each (104 bytes for a two-line access),
-    so a run at another line size recomputes instead of reading stale
-    lines.  A hit returns the lines as a fresh list, whose ints the
-    translation and the cache walk then read without converting each
-    element again.
+    warp keeps ``(line_size, at, lines)`` in its ``coal`` slot: ``lines``
+    is one int64 buffer holding, per coalesced record, its line count
+    and then its lines, and ``at`` (int32, one per record, -1 until the
+    record is coalesced) is where they start: 4 bytes per record plus 8
+    per count and line.  A call at another line size replaces the store,
+    so a stale line is never served.  A hit returns the lines as a
+    fresh list, whose ints the translation and the cache walk then read
+    without converting each element again.
+
+    A cached trace can be simulated by several threads at once (the
+    in-process serve path), so a miss writes under :data:`_memo_lock`
+    and sets ``at[rec]`` last: a reader never sees an entry before its
+    count and lines are in place, and ``lines`` only grows.
     """
-    try:
-        cached = tinst._coal
-    except AttributeError:
-        pass
-    else:
-        if cached[0] == line_size:
-            lines = cached.tolist()
-            del lines[0]  # the key
-            return lines
-    lines = coalesce(tinst.addresses, line_size)
-    tinst._coal = array("q", (line_size, *lines))
+    memo = trace.coal
+    if memo is not None and memo[0] == line_size:
+        pos = memo[1][rec]
+        if pos >= 0:
+            buf = memo[2]
+            return buf[pos + 1:pos + 1 + buf[pos]].tolist()
+    lines = coalesce(trace.addresses(rec), line_size)
+    with _memo_lock:
+        memo = trace.coal
+        if memo is None or memo[0] != line_size:
+            memo = trace.coal = (line_size, array("i", (-1,)) * len(trace),
+                                 array("q"))
+        _, at, buf = memo
+        if at[rec] < 0:
+            pos = len(buf)
+            buf.append(len(lines))
+            buf.extend(lines)
+            at[rec] = pos
     return lines
+
+
+def _new_memo_lock() -> None:
+    """A fresh memo lock, also in a forked child: a thread of the parent
+    may have held the old one at the fork, and no thread of the child
+    would ever release it."""
+    global _memo_lock
+    _memo_lock = threading.Lock()
+
+
+_new_memo_lock()
+os.register_at_fork(after_in_child=_new_memo_lock)

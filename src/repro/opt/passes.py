@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Set, Tuple
+from typing import Set, Tuple
 
 from repro.isa import Instruction, Kernel, Reg
 
@@ -33,26 +33,6 @@ def _clone_kernel(kernel: Kernel) -> Kernel:
 # ---------------------------------------------------------------------------
 # WAR-eliminating register renaming
 # ---------------------------------------------------------------------------
-
-def count_memory_war_hazards(kernel: Kernel) -> int:
-    """WAR hazards where the pending reader is a global-memory instruction —
-    the hazards the replay-queue scheme turns into issue stalls."""
-    count = 0
-    cfg = Cfg(kernel)
-    for block in cfg.blocks:
-        pending_mem_srcs: Dict[int, int] = {}  # reg -> pc of memory reader
-        for pc in block.pcs():
-            inst = cfg.instruction(pc)
-            for dest in inst.reg_dests():
-                if dest in pending_mem_srcs:
-                    count += 1
-                    del pending_mem_srcs[dest]
-            if inst.info.can_fault:
-                for src in inst.reg_srcs():
-                    pending_mem_srcs[src] = pc
-        # block boundary clears the window (issue distance is large)
-    return count
-
 
 def rename_war_registers(
     kernel: Kernel, extra_regs: int = 16

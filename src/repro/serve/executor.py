@@ -37,8 +37,8 @@ hits are checkable against cold runs bit-for-bit.
 
 A workload's dynamic trace depends only on its name, so the isolated
 service's forked children run :func:`execute_handoff`, which hands the
-generated trace back as text and decodes a held one in place of a
-functional run (docs/SERVING.md "Trace hand-off").
+generated trace back as a binary container and views a held one in
+place of a functional run (docs/SERVING.md "Trace hand-off").
 """
 
 from __future__ import annotations
@@ -77,12 +77,13 @@ def _synthetic_hang(spec: Dict) -> SimulationHang:
     )
 
 
-def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
+def execute_request(spec: Dict, held: Optional[bytes] = None) -> Dict:
     """Run one submission; pure function of ``spec`` (module docstring).
 
-    ``trace_text`` is the workload's trace as :func:`execute_handoff`
-    returned it; when given, it is decoded in place of a functional
-    run, with the same result.
+    ``held`` is the workload's trace container as :func:`execute_handoff`
+    returned it; when given, the run views it in place of a functional
+    run, with the same result.  A container saved with another kernel
+    than the workload's raises ``ValueError``.
 
     Raises ``SimulationHang`` on a watchdog trip (real or injected via
     ``hang``), ``KeyError``/``ValueError`` on malformed specs; any
@@ -108,9 +109,11 @@ def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
     budget = spec.get("cycle_budget")
     watchdog = Watchdog(budget) if budget is not None else Watchdog()
     trace = None
-    if trace_text is not None:
+    if held is not None:
         def trace():
-            return load_trace(io.StringIO(trace_text))[1]
+            # checked against the kernel the run simulates (which a
+            # service child inherits built), not decoded from the header
+            return load_trace(held, get_workload(spec["workload"]).kernel)[1]
     sim = GpuSimulator.for_workload(
         spec["workload"],
         spec.get("scheme", "replay-queue"),
@@ -140,21 +143,21 @@ def execute_request(spec: Dict, trace_text: Optional[str] = None) -> Dict:
 
 
 def execute_handoff(
-    spec: Dict, trace_text: Optional[str] = None
-) -> Tuple[Dict, Optional[str]]:
-    """The isolated service's forked-child entry: ``(result, text)``.
+    spec: Dict, held: Optional[bytes] = None
+) -> Tuple[Dict, Optional[bytes]]:
+    """The isolated service's forked-child entry: ``(result, container)``.
 
-    Without ``trace_text`` the spec runs as :func:`execute_request`
-    and ``text`` is the trace it generated (already cached in this
-    process, so nothing is generated twice), encoded for the service
-    to hold.  With ``trace_text`` the run decodes it and ``text`` is
-    ``None``.  A failing spec raises before any encoding, so no text
-    comes back for it.
+    Without ``held`` the spec runs as :func:`execute_request` and
+    ``container`` is the trace it generated (already cached in this
+    process, so nothing is generated twice), saved for the service to
+    hold.  With ``held`` the run views it and ``container`` is ``None``.
+    A failing spec raises before any saving, so no container comes back
+    for it.
     """
-    result = execute_request(spec, trace_text)
-    if trace_text is not None:
+    result = execute_request(spec, held)
+    if held is not None:
         return result, None
     wl = get_workload(spec["workload"])
-    buf = io.StringIO()
+    buf = io.BytesIO()
     save_trace(wl.trace(), wl.kernel, buf)
     return result, buf.getvalue()

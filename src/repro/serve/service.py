@@ -13,11 +13,12 @@ call per kernel request:
    wall-clock timeout), so a tenant's wedged kernel burns its own
    budget, not the service process.  The forked child runs it through
    :func:`~repro.serve.executor.execute_handoff`, the *trace
-   hand-off*: the service holds one encoded trace per workload name,
+   hand-off*: the service holds one trace container per workload name,
    taken from that workload's first successful execution, and passes
-   it to every later one, whose child decodes it instead of running
-   the functional interpreter.  The interpreter never runs in the
-   service process (docs/SERVING.md "Trace hand-off");
+   it to every later one, whose child views its columns in place
+   instead of running the functional interpreter.  The interpreter
+   never runs in the service process (docs/SERVING.md "Trace
+   hand-off");
 3. **retry with backoff** — the campaign runner's rule, from one
    :class:`~repro.harness.isolation.RetryPolicy`: transient failures
    (``SimulationHang``, ``Timeout``, ``ChildCrash``) are retried up to
@@ -49,6 +50,7 @@ from repro.chaos.watchdog import DEFAULT_CYCLE_BUDGET
 from repro.harness.isolation import (
     ExperimentFailure, RetryPolicy, run_experiment_isolated,
 )
+from repro.workloads import get_workload
 
 from .cache import PartitionedResultCache
 from .core import (
@@ -115,8 +117,8 @@ class GpuService:
         self.timeout = timeout
         self.isolated = isolated
         self.executor = executor
-        #: workload name -> its trace as execute_handoff encoded it
-        self._traces: Dict[str, str] = {}
+        #: workload name -> its trace container from execute_handoff
+        self._traces: Dict[str, bytes] = {}
         self._now = 0.0
         self._sems: Dict[str, asyncio.Semaphore] = {}
         #: optional shared GPU pool: when set, executions additionally
@@ -140,7 +142,7 @@ class GpuService:
 
     @property
     def held_traces(self) -> List[str]:
-        """Workloads whose encoded trace the hand-off holds (sorted)."""
+        """Workloads whose trace container the hand-off holds (sorted)."""
         return sorted(self._traces)
 
     @property
@@ -172,24 +174,27 @@ class GpuService:
 
     def _run_handoff(self, name: str, spec: Dict):
         """One isolated attempt with the trace hand-off (module
-        docstring): pass the held text, keep a returned one."""
+        docstring): pass the held container, keep a returned one."""
         workload = spec.get("workload")
-        # a non-string name fails in the child; it has no held text
+        # a non-string name fails in the child; it has no held container
         held = (
             self._traces.get(workload) if isinstance(workload, str) else None
         )
         outcome = run_experiment_isolated(
             name, execute_handoff,
-            kwargs={"spec": spec, "trace_text": held},
+            kwargs={"spec": spec, "held": held},
             timeout=self.timeout,
         )
         if isinstance(outcome, ExperimentFailure):
-            outcome.kwargs = {"spec": spec}  # not the held trace text
+            outcome.kwargs = {"spec": spec}  # not the held container
             return outcome
-        value, text = outcome
-        if text is not None:
+        value, container = outcome
+        if container is not None:
             # two first requests that ran at once both generated it
-            self._traces.setdefault(workload, text)
+            self._traces.setdefault(workload, container)
+            # built once here, so every later child inherits the kernel
+            # its held container is checked against
+            get_workload(workload).kernel
         return value
 
     async def submit(self, tenant: str, spec: Dict) -> ServeResult:

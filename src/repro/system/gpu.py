@@ -264,11 +264,13 @@ class MultiKernelSimulator:
         stream_kernels: List[List[int]] = [[] for _ in stream_ids]
         kernel_blocks: Dict[int, List[BlockTrace]] = {}
         context_bytes: Dict[int, int] = {}
+        decode_tables: Dict[int, list] = {}
         occupancy = None
         for kid, sl in enumerate(self.launches):
-            # Decode every static instruction once, up front: the issue
-            # loop then only ever reads cached tuples (docs/PERFORMANCE.md).
-            predecode_trace(sl.trace)
+            # Decode every static instruction once, up front: each warp's
+            # decode list then indexes this table by pc, and the issue
+            # loop only ever reads cached tuples (docs/PERFORMANCE.md).
+            decode_tables[kid] = predecode_trace(sl.kernel)
             stream_kernels[stream_ids.index(sl.stream)].append(kid)
             kernel_blocks[kid] = [
                 b if b.kernel_id == kid
@@ -298,6 +300,7 @@ class MultiKernelSimulator:
                 block_source=self.tb_scheduler,
                 occupancy=occupancy,
                 kernel_context_bytes=context_bytes,
+                kernel_decode=decode_tables,
                 telemetry=self.telemetry,
                 chaos=self.chaos,
                 sanitizer=self.sanitizer,

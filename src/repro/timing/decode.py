@@ -5,8 +5,9 @@ latency, faultability, operand scoreboard bitmasks, ...).  Computing them
 involves enum-keyed dict lookups and operand-tuple construction — cheap
 once, hot when repeated on every *issue attempt*.  ``decode`` computes the
 facts once and caches the tuple on the instruction itself;
-``predecode_trace`` warms the cache for a whole kernel trace at load time
-so the simulator's issue loop only ever reads.  See docs/PERFORMANCE.md.
+``predecode_trace`` builds a launch's decode table, one tuple per pc, from
+which each warp's per-record decode list is indexed by its pc column, so
+the simulator's issue loop only ever reads.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def decode(inst):
     0 unit index, 1 latency, 2 can_fault, 3 is_store, 4 is_control,
     5 is BAR, 6 is atomic, 7 may raise an arithmetic exception (FDIV),
     8 source mask, 9 destination mask, 10 source bits with repeats
-    (:func:`operand_bits`).
+    (:func:`operand_bits`), 11 the opcode (for event names).
     """
     try:
         return inst._dec
@@ -70,22 +71,14 @@ def decode(inst):
             inst.op is Opcode.BAR,  # 5
             inst.op is Opcode.ATOM_GLOBAL,  # 6: atomic (completes like a load)
             inst.op is Opcode.FDIV,  # 7: may raise an arithmetic exception
-        ) + operand_bits(inst)  # 8-10: scoreboard masks
+        ) + operand_bits(inst) + (inst.op,)  # 8-10: scoreboard masks
         inst._dec = dec
         return dec
 
 
-def predecode_trace(ktrace) -> int:
-    """Decode every instruction referenced by a kernel trace.
-
-    Static instructions are shared between dynamic records, so this is
-    cheap; afterwards the timing simulator's per-warp decode lists are
-    built from cache hits only.  Returns the dynamic record count.
-    """
-    n = 0
-    for block in ktrace.blocks:
-        for warp in block.warps:
-            for tinst in warp.instructions:
-                decode(tinst.inst)
-                n += 1
-    return n
+def predecode_trace(kernel) -> list:
+    """The decode table of one launch of ``kernel``: its decode tuple per
+    pc.  A trace record's decode is ``table[pc]``, so a warp's decode list
+    is its pc column mapped through the table, with no per-record decode
+    call."""
+    return [decode(inst) for inst in kernel.instructions]

@@ -44,11 +44,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.functional.trace import BlockTrace, TraceInst
+from repro.functional.trace import BlockTrace, WarpTrace
 from repro.mem.coalescer import coalesce_inst
 from repro.telemetry import active as _tel_active, ev as _ev
 
-from .decode import decode as _decode, mask_names
+from .decode import mask_names
 from .engine import EventQueue
 
 #: cycles from fetch decision to issue — folded into issue; operand read and
@@ -99,7 +99,8 @@ class WarpRT:
         "sb_bits",
     )
 
-    def __init__(self, slot: int, trace: List[TraceInst], block: "BlockRT") -> None:
+    def __init__(self, slot: int, trace: WarpTrace, block: "BlockRT",
+                 table: List[tuple]) -> None:
         self.slot = slot
         self.trace = trace
         self.idx = 0
@@ -117,10 +118,11 @@ class WarpRT:
         self.at_barrier = False
         self.done = False
         self.block = block
-        self.replay_list: List[TraceInst] = []
-        #: decode tuple per trace record (cache hits when the trace was
-        #: predecoded at load time — repro.timing.decode)
-        self.dtrace = [_decode(t.inst) for t in trace]
+        #: squashed records (indices into the trace) to issue again first
+        self.replay_list: List[int] = []
+        #: decode tuple per trace record: the launch's decode table
+        #: (repro.timing.decode.predecode_trace) indexed by the pc column
+        self.dtrace = list(map(table.__getitem__, trace.pc_column()))
         self.tlen = len(trace)
         #: index in the SM's master warp list (maintained by the scan
         #: rebuild; the round-robin pointer is expressed in these positions)
@@ -133,11 +135,13 @@ class WarpRT:
         #: the pending bits that blocked the head when ``sb_wait`` was set
         self.sb_bits = 0
 
-    def next_inst(self) -> Optional[TraceInst]:
+    def next_inst(self) -> Optional[int]:
+        """The record to issue next: the replay head, else the next one
+        of the trace (``None`` once both are exhausted)."""
         if self.replay_list:
             return self.replay_list[0]
         if self.idx < self.tlen:
-            return self.trace[self.idx]
+            return self.idx
         return None
 
     def advance(self) -> None:
@@ -188,7 +192,7 @@ class BlockRT:
         self.barrier_arrived = 0
         self.drain_time = 0.0  # latest commit of non-faulted in-flight work
         self.pending_groups: Dict[int, float] = {}  # fault group -> resolve t
-        # squashable in-flight faulted instructions: (warp, tinst, commit_ev,
+        # squashable in-flight faulted instructions: (warp, rec, commit_ev,
         # destination mask, fetch_hold_release_evs, src_release_ev, slot_ev)
         self.faulted_inflight: List[Tuple] = []
         self.log_capacity = log_capacity
@@ -220,6 +224,7 @@ class SmPipeline:
         block_source,
         occupancy: int,
         kernel_context_bytes: Dict[int, int],
+        kernel_decode: Dict[int, List[tuple]],
         telemetry=None,
         chaos=None,
         sanitizer=None,
@@ -237,6 +242,9 @@ class SmPipeline:
         # stolen block's switch cost reflects *its* kernel's footprint
         # (docs/CONCURRENCY.md)
         self.kernel_context_bytes = kernel_context_bytes
+        #: kernel id -> its launch's decode table, one tuple per pc
+        #: (repro.timing.decode.predecode_trace)
+        self.kernel_decode = kernel_decode
         self.free_slots = occupancy
         self.blocks: List[BlockRT] = []  # resident blocks
         self.offchip: List[BlockRT] = []  # switched-out blocks (use case 1)
@@ -357,8 +365,9 @@ class SmPipeline:
             context_bytes=self.kernel_context_bytes[btrace.kernel_id],
             log_capacity=self._log_partition,
         )
+        table = self.kernel_decode[btrace.kernel_id]
         for wtrace in btrace.warps:
-            warp = WarpRT(len(self.warps), wtrace.instructions, block)
+            warp = WarpRT(len(self.warps), wtrace, block, table)
             warp.fetch_ready = time
             block.warps.append(warp)
         self.blocks.append(block)
@@ -448,7 +457,7 @@ class SmPipeline:
             if w.done or w.at_barrier:
                 continue
             if w.replay_list:
-                dec = _decode(w.replay_list[0].inst)
+                dec = w.dtrace[w.replay_list[0]]
             elif w.idx < w.tlen:
                 dec = w.dtrace[w.idx]
             else:
@@ -530,13 +539,8 @@ class SmPipeline:
                 if warp.fetch_holds or warp.fetch_ready > cycle:
                     continue
                 rl = warp.replay_list
-                if rl:
-                    tinst = rl[0]
-                    dec = _decode(tinst.inst)
-                else:
-                    idx = warp.idx
-                    tinst = warp.trace[idx]
-                    dec = warp.dtrace[idx]
+                rec = rl[0] if rl else warp.idx
+                dec = warp.dtrace[rec]
                 if budget[dec[0]] <= 0:
                     continue  # unit taken by an issue earlier this cycle
                 if dec[5] and warp.inflight:  # BAR waits for older insts
@@ -553,7 +557,7 @@ class SmPipeline:
                     if need and warp.block.log_used + need > warp.block.log_capacity:
                         continue  # log partition full; event will wake us
                 budget[dec[0]] -= 1
-                self._issue(warp, tinst, dec, cycle)
+                self._issue(warp, rec, dec, cycle)
                 issued += 1
                 if issued >= width:
                     # Reference-scan equivalent of stopping at issue_width:
@@ -584,10 +588,10 @@ class SmPipeline:
                 continue
             if warp.fetch_holds or warp.fetch_ready > cycle:
                 continue
-            tinst = warp.next_inst()
-            if tinst is None:
+            rec = warp.next_inst()
+            if rec is None:
                 continue
-            dec = _decode(tinst.inst)
+            dec = warp.dtrace[rec]
             if dec[5] and warp.inflight:
                 continue
             if self._scoreboard_blocked(warp, dec):
@@ -643,10 +647,10 @@ class SmPipeline:
                 continue
             if warp.fetch_holds or warp.fetch_ready > cycle:
                 continue
-            tinst = warp.next_inst()
-            if tinst is None:
+            rec = warp.next_inst()
+            if rec is None:
                 continue  # trace exhausted, draining in-flight work
-            dec = _decode(tinst.inst)
+            dec = warp.dtrace[rec]
             if budget[dec[0]] <= 0:
                 structural = True
                 continue
@@ -664,7 +668,7 @@ class SmPipeline:
                     log_block = True
                     continue  # operand log partition full; event will wake us
             budget[dec[0]] -= 1
-            self._issue(warp, tinst, dec, cycle)
+            self._issue(warp, rec, dec, cycle)
             issued += 1
         if issued:
             self.rr = i
@@ -691,25 +695,26 @@ class SmPipeline:
 
     # ------------------------------------------------------------------
 
-    def _issue(self, warp: WarpRT, tinst: TraceInst, dec, cycle: float) -> None:
-        """Issue one decoded instruction for ``warp`` at ``cycle``: claim
-        scoreboards, then hand it to the memory / barrier / ALU path."""
+    def _issue(self, warp: WarpRT, rec: int, dec, cycle: float) -> None:
+        """Issue record ``rec`` of ``warp`` (decoded as ``dec``) at
+        ``cycle``: claim scoreboards, then hand it to the memory /
+        barrier / ALU path."""
         if self.tel is not None:
             name = (
                 _ev.EV_REPLAY
-                if warp.replay_list and warp.replay_list[0] is tinst
+                if warp.replay_list and warp.replay_list[0] == rec
                 else _ev.EV_ISSUE
             )
             self.tel.tracer.emit(
                 name, cycle, self._tid,
-                {"op": tinst.inst.op.name, "warp": warp.slot,
+                {"op": dec[11].name, "warp": warp.slot,
                  "block": warp.block.block_id},
             )
         rl = warp.replay_list
         if rl:
             rl.pop(0)
             if rl:
-                head = _decode(rl[0].inst)
+                head = warp.dtrace[rl[0]]
             elif warp.idx < warp.tlen:
                 head = warp.dtrace[warp.idx]
             else:
@@ -734,7 +739,7 @@ class SmPipeline:
             raise InvariantViolation(
                 "second pending write to a register",
                 {"sm": self.sm_id, "warp": warp.slot,
-                 "block": warp.block.block_id, "op": tinst.inst.op.name,
+                 "block": warp.block.block_id, "op": dec[11].name,
                  "registers": mask_names(warp.pw & dst)},
             )
         warp.pw |= dst
@@ -747,13 +752,17 @@ class SmPipeline:
         self.stats.issued += 1
         oprd = cycle + self._oprd_lat
 
-        if dec[2] and tinst.addresses:  # global memory (can fault)
-            self.stats.issued_mem += 1
-            self._issue_gmem(warp, tinst, dec, cycle, oprd)
-            return
+        if dec[2]:  # global memory (can fault), unless no lane is active
+            trace = warp.trace
+            offsets = trace.offsets
+            at = trace.start + rec
+            if offsets[at + 1] != offsets[at]:
+                self.stats.issued_mem += 1
+                self._issue_gmem(warp, rec, dec, cycle, oprd)
+                return
 
         if dec[5]:  # BAR
-            self._issue_barrier(warp, tinst, cycle, oprd)
+            self._issue_barrier(warp, dec, cycle, oprd)
             return
 
         commit_time = oprd + dec[1]
@@ -896,7 +905,7 @@ class SmPipeline:
     # barriers
     # ------------------------------------------------------------------
 
-    def _issue_barrier(self, warp: WarpRT, tinst, cycle: float, oprd: float) -> None:
+    def _issue_barrier(self, warp: WarpRT, dec, cycle: float, oprd: float) -> None:
         """Park ``warp`` at a BAR; restart everyone once the block arrives."""
         warp.at_barrier = True
         self._scan_dirty = True  # parked: drop from the members
@@ -907,7 +916,7 @@ class SmPipeline:
                 {"warp": warp.slot, "block": block.block_id},
             )
         block.barrier_arrived += 1
-        commit_time = oprd + tinst.inst.info.latency
+        commit_time = oprd + dec[1]
         self.events.call(commit_time, partial(self._commit, warp, 0))
         self._check_barrier(block, cycle)
 
@@ -935,7 +944,7 @@ class SmPipeline:
     # requests through the cache hierarchy.
     # ------------------------------------------------------------------
 
-    def _issue_gmem(self, warp: WarpRT, tinst, dec, cycle: float, oprd: float) -> None:
+    def _issue_gmem(self, warp: WarpRT, rec: int, dec, cycle: float, oprd: float) -> None:
         """Issue a global-memory instruction: claim warp-disable holds and
         operand-log space now, then translate at operand read (phase 1)."""
         # Warp-disable schemes stop fetching from the cycle the memory
@@ -954,11 +963,11 @@ class SmPipeline:
         if need:
             warp.block.log_used += need
         self.events.call(
-            oprd, partial(self._gmem_translate, warp, tinst, dec, wd_hold)
+            oprd, partial(self._gmem_translate, warp, rec, dec, wd_hold)
         )
 
     def _gmem_translate(
-        self, warp: WarpRT, tinst, dec, wd_hold: bool, now: float,
+        self, warp: WarpRT, rec: int, dec, wd_hold: bool, now: float,
         replayed: bool = False,
     ) -> None:
         """Phase 1 of the global-memory path: coalesce + translate; route
@@ -974,15 +983,15 @@ class SmPipeline:
             if penalty:
                 self.events.call(
                     now + penalty,
-                    lambda t, w=warp, ti=tinst, d=dec, h=wd_hold:
-                        self._gmem_translate(w, ti, d, h, t, True),
+                    lambda t, w=warp, r=rec, d=dec, h=wd_hold:
+                        self._gmem_translate(w, r, d, h, t, True),
                 )
                 return
         src_bits = dec[10]
         is_store = dec[3]
         block = warp.block
         anchor = self._anchor
-        lines = coalesce_inst(tinst, self._line_size)
+        lines = coalesce_inst(warp.trace, rec, self._line_size)
         outcome = self.memsys.translate_access_coalesced(
             self.sm_id, lines, is_store, now
         )
@@ -1004,7 +1013,7 @@ class SmPipeline:
                     last_check,
                     partial(
                         self._gmem_data_release_hold,
-                        warp, tinst, dec, outcome.ready_lines,
+                        warp, dec, outcome.ready_lines,
                     ),
                 )
             else:
@@ -1012,7 +1021,7 @@ class SmPipeline:
                     last_check,
                     partial(
                         self._gmem_data,
-                        warp, tinst, dec, outcome.ready_lines, wd_hold,
+                        warp, dec, outcome.ready_lines, wd_hold,
                     ),
                 )
             return
@@ -1082,7 +1091,7 @@ class SmPipeline:
             completion, partial(self._commit, warp, dec[9])
         )
         block.faulted_inflight.append(
-            (warp, tinst, commit_ev, dec[9], hold_evs, src_ev, slot_ev)
+            (warp, rec, commit_ev, dec[9], hold_evs, src_ev, slot_ev)
         )
         self.events.call(
             completion, partial(self._forget_faulted, block, commit_ev)
@@ -1090,7 +1099,7 @@ class SmPipeline:
         if self.local_scheduler is not None:
             if block.state == BlockRT.ACTIVE:
                 self.local_scheduler.on_fault(
-                    self, block, warp, tinst, first_detect, resolved, position
+                    self, block, warp, rec, first_detect, resolved, position
                 )
             else:
                 # The block was switched out between this instruction's
@@ -1102,7 +1111,7 @@ class SmPipeline:
                 )
 
     def _gmem_data(
-        self, warp: WarpRT, tinst, dec, lines, wd_hold: bool, now: float
+        self, warp: WarpRT, dec, lines, wd_hold: bool, now: float
     ) -> None:
         """Phase 2 of the global-memory path: run the translated requests
         through the cache hierarchy and schedule the commit."""
@@ -1122,13 +1131,13 @@ class SmPipeline:
             warp.block.drain_time = completion
 
     def _gmem_data_release_hold(
-        self, warp: WarpRT, tinst, dec, lines, now: float
+        self, warp: WarpRT, dec, lines, now: float
     ) -> None:
         """Merged same-timestamp dispatch for ``wd-lastcheck``: the fetch
         hold lifts exactly when phase 2 starts (release first, as the
         reference ordered its two events)."""
         self._release_fetch_hold(warp, now)
-        self._gmem_data(warp, tinst, dec, lines, False, now)
+        self._gmem_data(warp, dec, lines, False, now)
 
     def _hold_log_until(self, block: BlockRT, is_store: bool, release_at: float) -> None:
         """Schedule the release of the log bytes claimed at issue."""
@@ -1161,11 +1170,12 @@ class SmPipeline:
         be switched out; each will be replayed from the restored context."""
         tel = self.tel
         for rec in block.faulted_inflight:
-            warp, tinst, commit_ev, dst, hold_evs, src_ev, slot_ev = rec
+            warp, idx, commit_ev, dst, hold_evs, src_ev, slot_ev = rec
+            dec = warp.dtrace[idx]
             if tel is not None:
                 tel.tracer.emit(
                     _ev.EV_SQUASH, time, self._tid,
-                    {"op": tinst.inst.op.name, "warp": warp.slot,
+                    {"op": dec[11].name, "warp": warp.slot,
                      "block": block.block_id},
                 )
             commit_ev.cancel()
@@ -1184,7 +1194,7 @@ class SmPipeline:
             if src_ev is not None and not src_ev.fired:
                 src_ev.cancel()
                 pr = warp.pr
-                for b in _decode(tinst.inst)[10]:
+                for b in dec[10]:
                     left = pr[b] - 1
                     if left:
                         pr[b] = left
@@ -1192,7 +1202,7 @@ class SmPipeline:
                         del pr[b]
                         warp.prm &= ~b
             warp.inflight -= 1
-            warp.replay_list.append(tinst)
+            warp.replay_list.append(idx)
             warp.sb_wait = False  # scoreboards changed + next inst changed
         if block.faulted_inflight:
             self._scan_dirty = True  # drained warps regained a replay inst

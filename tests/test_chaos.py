@@ -22,7 +22,6 @@ from repro.core import make_scheme
 from repro.harness import run_chaos_campaign
 from repro.isa import R
 from repro.system import GpuSimulator, architectural_digest
-from repro.timing.decode import decode
 from repro.timing.engine import EventQueue
 from repro.vm import Owner, SystemPageState
 from repro.workloads import MICRO
@@ -407,10 +406,10 @@ class TestSanitizer:
         trace = [t_alu(R(1), R(0)), t_exit()]
         sm, _, block = make_sm([trace], sanitizer=InvariantSanitizer())
         warp = block.warps[0]
-        dec = decode(trace[0].inst)
+        dec = warp.dtrace[0]
         warp.pw = dec[9]  # R1 already has a write in flight
         with pytest.raises(InvariantViolation, match="second pending write"):
-            sm._issue(warp, trace[0], dec, 0.0)
+            sm._issue(warp, 0, dec, 0.0)
 
     def test_fired_faulted_record_tolerated(self):
         """At a faulted instruction's completion time the commit event

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.harness.__main__ import main as harness_main
 from repro.isa import Imm, KernelBuilder, Opcode, P, R
-from repro.opt import Cfg, count_memory_war_hazards, rename_war_registers
+from repro.opt import Cfg, rename_war_registers
 from repro.runtime import GpuDevice
+from tests.test_opt import count_memory_war_hazards
 
 
 class TestHarnessCli:

@@ -45,11 +45,12 @@ def trace_digest(trace) -> str:
     h = hashlib.sha256()
     for block in trace.blocks:
         for warp in block.warps:
-            recs = [
-                [t.pc, t.active,
-                 None if t.addresses is None else list(t.addresses)]
-                for t in warp.instructions
-            ]
+            recs = []
+            for rec in range(len(warp)):
+                addrs = warp.addresses(rec)
+                recs.append([warp.pcs[warp.start + rec],
+                             warp.active[warp.start + rec],
+                             list(addrs) if len(addrs) else None])
             h.update(json.dumps([block.block_id, warp.warp_id, recs],
                                 separators=(",", ":")).encode())
     return h.hexdigest()

@@ -17,6 +17,12 @@ OUT = 0x100000
 
 
 def run_kernel(build, grid=1, block=32, params=(), memory=None, heap=None):
+    mem, trace, _ = run_traced(build, grid, block, params, memory, heap)
+    return mem, trace
+
+
+def run_traced(build, grid=1, block=32, params=(), memory=None, heap=None):
+    """``(memory, trace, kernel)`` of one launch of what ``build`` emits."""
     kb = KernelBuilder("t", regs_per_thread=32)
     build(kb)
     kb.exit()
@@ -24,28 +30,41 @@ def run_kernel(build, grid=1, block=32, params=(), memory=None, heap=None):
     mem = memory if memory is not None else SparseMemory()
     interp = Interpreter(memory=mem, heap=heap)
     trace = interp.run(Launch(kernel, grid, block, params=list(params)))
-    return mem, trace
+    return mem, trace, kernel
 
 
 def out_values(mem, count, base=OUT):
     return mem.read_array(base, count)
 
 
-def global_memory_instructions(trace):
+def records(blocks, kernel):
+    """Every record of the block traces ``blocks`` as ``(inst, active,
+    addresses)``: the instruction of ``kernel`` at its pc, its active
+    lanes, and its lane addresses as a list (``None`` for a record that
+    touches no memory)."""
+    program = kernel.instructions
+    for b in blocks:
+        for w in b.warps:
+            for rec in range(len(w)):
+                addrs = w.addresses(rec)
+                yield (program[w.pcs[w.start + rec]], w.active[w.start + rec],
+                       list(addrs) if len(addrs) else None)
+
+
+def global_memory_instructions(trace, kernel):
     """How many warp-level instructions in ``trace`` can fault."""
     return sum(
-        1 for b in trace.blocks for w in b.warps for t in w.instructions
-        if t.inst.info.can_fault
+        1 for inst, _, _ in records(trace.blocks, kernel) if inst.info.can_fault
     )
 
 
-def touched_pages(trace):
+def touched_pages(trace, kernel):
     """The virtual page numbers ``trace``'s global accesses reference."""
     return {
         a >> 12
-        for b in trace.blocks for w in b.warps for t in w.instructions
-        if t.addresses is not None and t.inst.info.can_fault
-        for a in t.addresses
+        for inst, _, addrs in records(trace.blocks, kernel)
+        if addrs is not None and inst.info.can_fault
+        for a in addrs
     }
 
 
@@ -392,34 +411,33 @@ class TestTrace:
             kb.ld_global(R(2), R(1))
             store_per_thread(kb, R(2))
 
-        _, trace = run_kernel(build)
+        _, trace, kernel = run_traced(build)
         loads = [
-            t
-            for w in trace.blocks[0].warps
-            for t in w.instructions
-            if t.op is Opcode.LD_GLOBAL
+            (active, addrs)
+            for inst, active, addrs in records(trace.blocks, kernel)
+            if inst.op is Opcode.LD_GLOBAL
         ]
         assert len(loads) == 1
-        assert loads[0].addresses.tolist() == [0x4000 + 4 * i for i in range(32)]
-        assert loads[0].active == 32
+        assert loads[0][1] == [0x4000 + 4 * i for i in range(32)]
+        assert loads[0][0] == 32
 
     def test_trace_counts(self):
         def build(kb):
             kb.iadd(R(1), Imm(1), Imm(2))
             store_per_thread(kb, R(1))
 
-        _, trace = run_kernel(build, grid=2, block=64)
+        _, trace, kernel = run_traced(build, grid=2, block=64)
         assert len(trace.blocks) == 2
         assert trace.dynamic_instructions() > 0
-        assert global_memory_instructions(trace) == 4  # 1 store/warp
+        assert global_memory_instructions(trace, kernel) == 4  # 1 store/warp
 
     def test_touched_pages(self):
         def build(kb):
             kb.mov(R(1), Imm(0x8000))
             kb.st_global(R(1), Imm(1.0))
 
-        _, trace = run_kernel(build)
-        assert touched_pages(trace) == {0x8000 >> 12}
+        _, trace, kernel = run_traced(build)
+        assert touched_pages(trace, kernel) == {0x8000 >> 12}
 
     def test_instruction_budget(self):
         kb = KernelBuilder("spin")

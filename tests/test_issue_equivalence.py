@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import make_scheme
-from repro.functional.trace import TraceInst
 from repro.harness import golden
 from repro.isa import Instruction, Opcode, P, R
 from repro.system import GPUConfig
@@ -36,6 +35,7 @@ from tests.test_timing_sm import (
     t_alu,
     t_bar,
     t_exit,
+    t_inst,
     t_load,
     t_store,
 )
@@ -52,10 +52,6 @@ _pred = st.integers(min_value=0, max_value=1).map(P)
 _line = st.integers(min_value=0, max_value=63)
 
 
-def _t(inst):
-    return TraceInst(pc=0, inst=inst, active=32, addresses=None)
-
-
 @st.composite
 def _instruction(draw):
     kind = draw(st.sampled_from(
@@ -66,13 +62,13 @@ def _instruction(draw):
         srcs = draw(st.lists(_reg, min_size=1, max_size=2))
         return t_alu(draw(_reg), *srcs)
     if kind == "setp":
-        return _t(Instruction(Opcode.ISETP, dest=draw(_pred),
+        return t_inst(Instruction(Opcode.ISETP, dest=draw(_pred),
                               srcs=(draw(_reg), draw(_reg)), cmp="lt"))
     if kind == "guarded":
-        return _t(Instruction(Opcode.FADD, dest=draw(_reg),
+        return t_inst(Instruction(Opcode.FADD, dest=draw(_reg),
                               srcs=(draw(_reg),), guard=draw(_pred)))
     if kind == "fdiv":
-        return _t(Instruction(Opcode.FDIV, dest=draw(_reg),
+        return t_inst(Instruction(Opcode.FDIV, dest=draw(_reg),
                               srcs=(draw(_reg), draw(_reg))))
     addrs = [
         ln * 128 + off

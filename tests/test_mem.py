@@ -2,6 +2,8 @@
 coalescer and the composed subsystem."""
 
 import heapq
+import sys
+import threading
 from array import array
 from dataclasses import asdict
 
@@ -21,10 +23,10 @@ from repro.mem import (
     coalesce,
     coalesce_inst,
 )
-from repro.functional.trace import TraceInst
-from repro.isa import Instruction, Opcode, R
-from repro.system import GPUConfig
+from repro.functional.trace import WarpTrace
+from repro.system import GPUConfig, GpuSimulator, architectural_digest
 from repro.vm import CACHE_LINE_SIZE, PAGE_SHIFT
+from repro.workloads import MICRO
 
 
 def _next_level_const(latency=100):
@@ -291,8 +293,15 @@ def _lane_addresses(draw):
     return addrs
 
 
+def _coalesce_fresh_record():
+    """A coalesce miss on a fresh warp (runs in a forked child)."""
+    warp = WarpTrace(0)
+    warp.append(0, 2, array("q", [0, 4096]).tobytes())
+    return list(coalesce_inst(warp, 0))
+
+
 class TestCoalescerCache:
-    """``coalesce_inst`` memoizes lines on the trace record: a hit must be
+    """``coalesce_inst`` memoizes lines in the warp's store: a hit must be
     what a fresh coalesce returns, and only at the line size it was
     filled at."""
 
@@ -306,13 +315,69 @@ class TestCoalescerCache:
             assert coalesce(addrs, size) == tuple(
                 dict.fromkeys(a // size for a in addrs)
             )
-        rec = TraceInst(
-            pc=0, inst=Instruction(Opcode.LD_GLOBAL, dest=R(1), srcs=(R(0),)),
-            active=len(addrs), addresses=array("q", addrs),
-        )
+        # the record sits between two others whose lines share the store
+        warp = WarpTrace(0)
+        for lanes in ([0, 4096], addrs, [8192]):
+            warp.append(0, len(lanes), array("q", lanes).tobytes())
         first, second = sizes
         for size in (first, first, second, second, first):
-            assert tuple(coalesce_inst(rec, size)) == coalesce(addrs, size)
+            assert tuple(coalesce_inst(warp, 1, size)) == coalesce(addrs, size)
+            assert tuple(coalesce_inst(warp, 0, size)) == coalesce(
+                [0, 4096], size)
+
+    def test_forked_child_gets_a_free_memo_lock(self):
+        """A child forked while another thread of the parent holds the
+        memo lock (a serve worker mid-miss while another worker forks)
+        can still coalesce: it would otherwise wait forever on a lock
+        no thread of its own holds."""
+        import repro.mem.coalescer as coalescer
+        from repro.harness.isolation import run_experiment_isolated
+
+        with coalescer._memo_lock:
+            out = run_experiment_isolated(
+                "memo-after-fork", _coalesce_fresh_record, timeout=30.0)
+        assert out == [0, 4096 // CACHE_LINE_SIZE]
+
+    def test_concurrent_cold_runs_match_a_serial_run(self):
+        """Threads simulating one trace at once, all from empty stores
+        (the in-process serve path runs requests on worker threads),
+        come out as a serial run does: none reads an entry another has
+        not finished writing."""
+        wl = MICRO.fresh("mshr-storm")
+        warps = [w for b in wl.trace().blocks for w in b.warps]
+
+        def outcome():
+            sim = GpuSimulator.for_workload(wl, "replay-queue",
+                                            paging="demand")
+            res = sim.run()
+            return res.cycles, architectural_digest(
+                sim.address_space.page_state, res.sm_stats)
+
+        def cold():
+            for w in warps:
+                w.coal = None
+
+        cold()
+        want = outcome()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for _ in range(3):
+                cold()
+                got = [None] * 3
+                threads = [
+                    threading.Thread(
+                        target=lambda i=i: got.__setitem__(i, outcome()))
+                    for i in range(len(got))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                assert got == [want] * len(got)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMemorySubsystem:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import make_scheme
 from repro.system import GPUConfig, GpuSimulator
 from repro.workloads import MICRO
+from tests.test_interpreter import records
 
 
 def simulate(wl, scheme="baseline", config=None):
@@ -32,11 +33,9 @@ class TestTlbThrash:
     def test_divergence_free(self):
         wl = MICRO.fresh("tlb-thrash")
         trace = wl.trace()
-        for b in trace.blocks[:2]:
-            for w in b.warps:
-                for t in w.instructions:
-                    if not t.inst.info.is_control:  # branches log taken mask
-                        assert t.active == 32
+        for inst, active, _ in records(trace.blocks[:2], wl.kernel):
+            if not inst.info.is_control:  # branches log taken mask
+                assert active == 32
 
 
 class TestMshrStorm:
@@ -46,11 +45,10 @@ class TestMshrStorm:
         from repro.mem import coalesce
 
         loads = [
-            t for b in trace.blocks[:1] for w in b.warps
-            for t in w.instructions
-            if t.inst.info.can_fault and not t.inst.info.is_store
+            addrs for inst, _, addrs in records(trace.blocks[:1], wl.kernel)
+            if inst.info.can_fault and not inst.info.is_store
         ]
-        degree = [len(coalesce(t.addresses)) for t in loads]
+        degree = [len(coalesce(addrs)) for addrs in loads]
         assert max(degree) == 32  # fully scattered warp accesses
 
     def test_mshr_stalls_observed(self):
@@ -89,10 +87,7 @@ class TestDivergenceTree:
         wl = MICRO.fresh("divergence-tree")
         trace = wl.trace()
         actives = {
-            t.active
-            for b in trace.blocks[:1]
-            for w in b.warps
-            for t in w.instructions
+            active for _, active, _ in records(trace.blocks[:1], wl.kernel)
         }
         # depth-4 tree: masks of 32, 16, 8, 4 (and 2 at the leaves)
         assert {32, 16, 8, 4} <= actives

@@ -5,16 +5,30 @@ import pytest
 
 from repro.functional import Interpreter, Launch
 from repro.isa import Imm, KernelBuilder, Opcode, P, R, Special, SReg
-from repro.opt import (
-    Cfg,
-    Liveness,
-    count_memory_war_hazards,
-    rename_war_registers,
-    uses_defs,
-)
+from repro.opt import Cfg, Liveness, rename_war_registers, uses_defs
 from repro.vm import SparseMemory
 
 OUT = 0x100000
+
+
+def count_memory_war_hazards(kernel) -> int:
+    """WAR hazards where the pending reader is a global-memory instruction —
+    the hazards the replay-queue scheme turns into issue stalls."""
+    count = 0
+    cfg = Cfg(kernel)
+    for block in cfg.blocks:
+        pending_mem_srcs = {}  # reg -> pc of memory reader
+        for pc in block.pcs():
+            inst = cfg.instruction(pc)
+            for dest in inst.reg_dests():
+                if dest in pending_mem_srcs:
+                    count += 1
+                    del pending_mem_srcs[dest]
+            if inst.info.can_fault:
+                for src in inst.reg_srcs():
+                    pending_mem_srcs[src] = pc
+        # block boundary clears the window (issue distance is large)
+    return count
 
 
 def straightline():

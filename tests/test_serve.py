@@ -479,9 +479,10 @@ class TestRealExecutor:
         ({"scheme": "bogus"}, "unknown scheme"),
         ({"paging": "prefetch-neighborhood"}, "unknown paging mode"),
     ])
-    @pytest.mark.parametrize("trace_text", [None, "{}"])
+    # b"{}" is a malformed held container: the spec must fail first
+    @pytest.mark.parametrize("held", [None, b"{}"])
     def test_malformed_spec_fails_before_trace_work(
-        self, monkeypatch, bad, match, trace_text
+        self, monkeypatch, bad, match, held
     ):
         import repro.serve.executor as executor_mod
         from repro.workloads.base import Workload
@@ -492,7 +493,17 @@ class TestRealExecutor:
         monkeypatch.setattr(Workload, "trace", no_trace_work)
         monkeypatch.setattr(executor_mod, "load_trace", no_trace_work)
         with pytest.raises(ValueError, match=match):
-            execute_request({"workload": "lbm", **bad}, trace_text)
+            execute_request({"workload": "lbm", **bad}, held)
+
+    def test_held_container_of_another_kernel_is_rejected(self):
+        """A held container replays only on the kernel it was saved
+        with: another workload's raises ``ValueError`` before the run,
+        never an ``IndexError`` or a replay of the wrong instructions."""
+        from repro.serve.executor import execute_handoff
+
+        _, held = execute_handoff({"workload": "divergence-tree"})
+        with pytest.raises(ValueError, match="another kernel"):
+            execute_request({"workload": "saxpy"}, held)
 
     def test_cache_hit_matches_cold_run_through_service(self):
         service = GpuService(isolated=False)

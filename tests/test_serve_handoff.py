@@ -1,16 +1,20 @@
 """The isolated service path and its trace hand-off: real forked
 executions equal in-process ones, each workload's trace is generated
-once in a forked child and never in the service process, and failed
-requests leave no trace text behind (docs/SERVING.md "Trace
-hand-off")."""
+once in a forked child and never in the service process, a later
+child views the held container in place, and failed requests leave no
+container behind (docs/SERVING.md "Trace hand-off")."""
 
 import asyncio
 import os
 import sys
+import tracemalloc
 
 import pytest
 
+from repro.functional import Interpreter
+from repro.functional.serialize import load_trace
 from repro.serve import GpuService, TenantPolicy, execute_request
+from repro.serve.executor import execute_handoff
 from repro.workloads import HALLOC, MICRO, PARBOIL
 from repro.workloads.base import Workload
 
@@ -154,7 +158,7 @@ class TestIsolatedHandoff:
             )
 
         # more worker threads than cores, switching often, share the
-        # held-text table
+        # held-container table
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -170,6 +174,50 @@ class TestIsolatedHandoff:
             want = execute_request(spec)
             for field in CHECKED:
                 assert res.value[field] == want[field], (spec, field)
+
+
+class TestZeroCopyHandoff:
+    def test_load_views_the_held_container(self):
+        """Loading a held container builds only the kernel and one object
+        per block and warp: under 10% of the container's bytes for the
+        serve kernel with the most records, and every column a view of
+        the held buffer itself."""
+        _, held = execute_handoff(_spec("stream-sum", "replay-queue"))
+        load_trace(held)  # first-call imports are not the load's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernel, trace = load_trace(held)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 0.1 * len(held)
+        warps = [w for b in trace.blocks for w in b.warps]
+        assert trace.dynamic_instructions() > 50 * len(warps)
+        for warp in warps:
+            for column in (warp.pcs, warp.active, warp.offsets, warp.addrs):
+                assert isinstance(column, memoryview)
+                assert column.obj is held
+
+    def test_later_children_never_interpret(self, trace_log, tmp_path,
+                                            monkeypatch):
+        path = tmp_path / "interpreter-runs.log"
+        original = Interpreter.run
+
+        def logged(self, launch):
+            with open(path, "a") as fh:
+                fh.write(f"{os.getpid()} {launch.kernel.name}\n")
+            return original(self, launch)
+
+        monkeypatch.setattr(Interpreter, "run", logged)
+        specs = [_spec("mshr-storm", scheme) for scheme in
+                 ("wd-commit", "replay-queue", "operand-log")]
+        service = _service()
+        assert all(r.ok for r in _submit_each(service, specs))
+        runs = path.read_text().splitlines()
+        # the first child interpreted the kernel; no later child did
+        assert len(runs) == 1 and runs[0].split()[0] != str(os.getpid())
+        assert _generated(trace_log()) == ["mshr-storm"]
 
 
 def test_serve_smoke_runs_the_forked_handoff(capsys):

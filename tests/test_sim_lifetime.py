@@ -187,7 +187,7 @@ class TestSelfFreeing:
             assert any(sm.offchip for sm in sim.sms)
             # this run's blocks and warps, by the trace they replay
             blocks = {id(b) for b in trace.blocks}
-            warps = {id(w.instructions) for b in trace.blocks for w in b.warps}
+            warps = {id(w) for b in trace.blocks for w in b.warps}
             live = Counter(
                 type(o) for o in gc.get_objects()
                 if type(o) is BlockRT and id(o.btrace) in blocks
@@ -218,20 +218,25 @@ class TestHostMemory:
         assert peaks[1] <= peaks[0] * 1.05
 
     def test_cached_coalescing_entry_is_compact(self):
-        """Each record's cached lines cost at most 96 bytes plus one int64
-        per line (a two-line access: 104 bytes)."""
-        trace = MICRO.fresh("mshr-storm").trace()
+        """The warps' coalescing stores cost at most 96 bytes per coalesced
+        record plus one int64 per line (the bound of a store that took
+        104 bytes for a two-line access on each record)."""
+        wl = MICRO.fresh("mshr-storm")
+        trace = wl.trace()
+        program = wl.kernel.instructions
         records = [
-            t for b in trace.blocks for w in b.warps for t in w.instructions
-            if t.addresses is not None and t.inst.info.can_fault
+            (w, rec) for b in trace.blocks for w in b.warps
+            for rec in range(len(w))
+            if len(w.addresses(rec))
+            and program[w.pcs[rec]].info.can_fault
         ]
-        lines = sum(len(coalesce(t.addresses)) for t in records)
+        lines = sum(len(coalesce(w.addresses(rec))) for w, rec in records)
         assert lines > 2 * len(records)  # wide accesses are in the mix
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for t in records:
-                coalesce_inst(t)
+            for w, rec in records:
+                coalesce_inst(w, rec)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -2,6 +2,8 @@
 barriers, scheme hooks — driven with hand-built traces and a stub memory
 subsystem so each behaviour is isolated."""
 
+from array import array
+
 import pytest
 
 from repro.core import (
@@ -11,11 +13,11 @@ from repro.core import (
     WarpDisableCommit,
     WarpDisableLastCheck,
 )
-from repro.functional.trace import BlockTrace, TraceInst, WarpTrace
+from repro.functional.trace import BlockTrace, WarpTrace
 from repro.isa import Imm, Instruction, Opcode, P, R
 from repro.mem.hierarchy import TranslationOutcome
 from repro.system import GPUConfig
-from repro.timing import EventQueue, SmPipeline
+from repro.timing import EventQueue, SmPipeline, decode
 from repro.vm import CACHE_LINE_SIZE, PAGE_SHIFT
 
 
@@ -69,27 +71,47 @@ class StubBlockSource:
         return None
 
 
+def t_inst(inst, addresses=None):
+    """A hand-built record: its instruction and lane addresses (None for
+    a record that touches no memory); :func:`build_block` gives each
+    record's instruction its own pc."""
+    return inst, None if addresses is None else array("q", addresses).tobytes()
+
+
 def t_alu(dest, *srcs):
-    inst = Instruction(Opcode.FADD, dest=dest, srcs=srcs)
-    return TraceInst(pc=0, inst=inst, active=32, addresses=None)
+    return t_inst(Instruction(Opcode.FADD, dest=dest, srcs=srcs))
 
 
 def t_load(dest, addr_reg, addresses):
     inst = Instruction(Opcode.LD_GLOBAL, dest=dest, srcs=(addr_reg,))
-    return TraceInst(pc=0, inst=inst, active=32, addresses=tuple(addresses))
+    return t_inst(inst, addresses)
 
 
 def t_store(addr_reg, val_reg, addresses):
     inst = Instruction(Opcode.ST_GLOBAL, srcs=(addr_reg, val_reg))
-    return TraceInst(pc=0, inst=inst, active=32, addresses=tuple(addresses))
+    return t_inst(inst, addresses)
 
 
 def t_bar():
-    return TraceInst(pc=0, inst=Instruction(Opcode.BAR), active=32, addresses=None)
+    return t_inst(Instruction(Opcode.BAR))
 
 
 def t_exit():
-    return TraceInst(pc=0, inst=Instruction(Opcode.EXIT), active=32, addresses=None)
+    return t_inst(Instruction(Opcode.EXIT))
+
+
+def build_block(warp_records, block_id=0):
+    """``(BlockTrace, decode table)`` of hand-built records, one list per
+    warp: the records' instructions form the kernel, one pc each."""
+    program = []
+    btrace = BlockTrace(block_id=block_id)
+    for warp_id, records in enumerate(warp_records):
+        wtrace = WarpTrace(warp_id)
+        for inst, addresses in records:
+            wtrace.append(len(program), 32, addresses)
+            program.append(inst)
+        btrace.warps.append(wtrace)
+    return btrace, [decode(inst) for inst in program]
 
 
 def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4,
@@ -98,6 +120,7 @@ def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4,
     ``sanitizer``, ...) go to :class:`SmPipeline`."""
     config = config or GPUConfig()
     events = EventQueue()
+    btrace, table = build_block(warp_traces)
     sm = SmPipeline(
         sm_id=0,
         config=config,
@@ -108,13 +131,9 @@ def make_sm(warp_traces, scheme=None, memsys=None, config=None, occupancy=4,
         block_source=StubBlockSource(),
         occupancy=occupancy,
         kernel_context_bytes={0: 1024},
+        kernel_decode={0: table},
         **kwargs,
     )
-    btrace = BlockTrace(block_id=0)
-    btrace.warps = [
-        WarpTrace(warp_id=i, instructions=list(tr))
-        for i, tr in enumerate(warp_traces)
-    ]
     block = sm.launch_block(btrace, 0.0)
     return sm, events, block
 
@@ -314,12 +333,7 @@ class TestSchemeHooks:
 
 class TestControlFlow:
     def test_control_instruction_disables_fetch_until_commit(self):
-        bra = TraceInst(
-            pc=0,
-            inst=Instruction(Opcode.BRA, target=0),
-            active=32,
-            addresses=None,
-        )
+        bra = t_inst(Instruction(Opcode.BRA, target=0))
         trace = [bra, t_alu(R(1), R(0)), t_exit()]
         sm, events, _ = make_sm([trace])
         sm.try_issue(0.0)
@@ -345,9 +359,9 @@ def _record_issues(sm):
     log = []
     orig = sm._issue
 
-    def spy(warp, tinst, dec, cycle):
-        log.append((cycle, sm.warps.index(warp), tinst.inst.op.name))
-        return orig(warp, tinst, dec, cycle)
+    def spy(warp, rec, dec, cycle):
+        log.append((cycle, sm.warps.index(warp), dec[11].name))
+        return orig(warp, rec, dec, cycle)
 
     sm._issue = spy
     return log

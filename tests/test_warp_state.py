@@ -2,19 +2,22 @@
 
 import pytest
 
-from repro.functional.trace import BlockTrace, TraceInst, WarpTrace
+from repro.functional.trace import BlockTrace, WarpTrace
 from repro.isa import Instruction, Opcode, R
+from repro.timing import decode
 from repro.timing.sm import BlockRT, WarpRT
 
-
-def tinst(op=Opcode.FADD):
-    return TraceInst(pc=0, inst=Instruction(op, dest=R(1), srcs=(R(0),)),
-                     active=32, addresses=None)
+#: the decode table of the hand-built records' kernel: one FADD at pc 0
+TABLE = [decode(Instruction(Opcode.FADD, dest=R(1), srcs=(R(0),)))]
 
 
 def make_warp(n_insts=3):
+    """A warp of ``n_insts`` FADD records."""
     block = BlockRT(BlockTrace(block_id=0), context_bytes=100, log_capacity=0)
-    warp = WarpRT(0, [tinst() for _ in range(n_insts)], block)
+    trace = WarpTrace(0)
+    for _ in range(n_insts):
+        trace.append(0, 32)
+    warp = WarpRT(0, trace, block, TABLE)
     block.warps.append(warp)
     return warp, block
 
@@ -25,18 +28,18 @@ class TestWarpRT:
         first = warp.next_inst()
         warp.advance()
         second = warp.next_inst()
-        assert first is not second
+        assert (first, second) == (0, 1)
         warp.advance()
         assert warp.next_inst() is None
 
     def test_replay_list_takes_priority(self):
         warp, _ = make_warp(2)
-        replayed = tinst(Opcode.LD_GLOBAL)
-        warp.replay_list.append(replayed)
-        assert warp.next_inst() is replayed
+        warp.idx = 1  # record 0 issued, then squashed
+        warp.replay_list.append(0)
+        assert warp.next_inst() == 0
         warp.advance()  # pops the replay entry, not the trace
-        assert warp.idx == 0
-        assert warp.next_inst() is warp.trace[0]
+        assert warp.idx == 1
+        assert warp.next_inst() == 1
 
     def test_maybe_done_requires_everything_drained(self):
         warp, _ = make_warp(1)
@@ -45,7 +48,7 @@ class TestWarpRT:
         warp.inflight = 1
         assert not warp.maybe_done()  # still committing
         warp.inflight = 0
-        warp.replay_list.append(tinst())
+        warp.replay_list.append(0)
         assert not warp.maybe_done()  # replay work pending
         warp.replay_list.clear()
         assert warp.maybe_done()

@@ -65,12 +65,12 @@ class TestParboilWorkloads:
         wl = get_workload(name)
         trace = wl.trace()
         assert trace.dynamic_instructions() > 1000
-        assert global_memory_instructions(trace) > 100
+        assert global_memory_instructions(trace, wl.kernel) > 100
 
     def test_addresses_inside_segments(self, name):
         wl = get_workload(name)
         aspace = wl.make_address_space()
-        valid = touched_pages(wl.trace())
+        valid = touched_pages(wl.trace(), wl.kernel)
         for vpn in valid:
             assert aspace.page_state.is_valid(vpn), hex(vpn * 4096)
 
@@ -167,7 +167,9 @@ class TestHallocWorkloads:
         assert trace.dynamic_instructions() > 0
         # heap pages must be touched (first-touch fault sources)
         heap_base_page = wl.make_address_space().segment("heap").base >> 12
-        assert any(p >= heap_base_page for p in touched_pages(trace))
+        assert any(
+            p >= heap_base_page for p in touched_pages(trace, wl.kernel)
+        )
 
     def test_heap_sized_for_demand(self, name):
         wl = HALLOC.fresh(name)
